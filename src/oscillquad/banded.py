@@ -172,6 +172,8 @@ def reorder_block_banded(blocks, perm: BlockPermutation) -> BandedMatrix:
 def dense_solve(a, b) -> np.ndarray:
     """Dense LU solve with partial pivoting for the small bordering systems.
 
+    ``b`` may be a vector or a matrix of right-hand-side columns.
+
     The singularity screen runs on the column-equilibrated matrix: the
     bordering systems are legitimately column-scaled by many orders of
     magnitude once nu exceeds omega, which must pass, while genuinely
@@ -194,7 +196,9 @@ def dense_solve(a, b) -> np.ndarray:
         raise SingularMatrixError(
             f"dense system numerically singular at pivot {worst}", worst
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False) / scales
+    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    # Unknown j was solved for scaled by scales[j]; b may carry columns.
+    return x / (scales if b.ndim == 1 else scales[:, None])
 
 
 # ---------------------------------------------------------------------------

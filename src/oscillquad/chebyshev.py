@@ -303,6 +303,25 @@ def apply_inverse_collocation(values, fast: bool = True) -> np.ndarray:
     return z
 
 
+def drop_endpoint_values(coeffs) -> np.ndarray:
+    """Interpolant of a series' grid values with both endpoint values set to 0.
+
+    Equals ``apply_inverse_collocation`` of ``apply_collocation_matrix(coeffs)``
+    with its first and last entries zeroed, without either DCT: the dropped
+    values are the series sums at x = +1 and x = -1, and C^-1 e_0,
+    C^-1 e_{nu+1} are 1/(nu+1) and (-1)^n/(nu+1) with halved end entries.
+    Works along the last axis.
+    """
+    a = np.asarray(coeffs, dtype=np.complex128)
+    n = a.shape[-1]
+    signs = (-1.0) ** np.arange(n)
+    u0 = np.full(n, 1.0 / (n - 1))
+    u0[[0, -1]] *= 0.5
+    at_plus = a.sum(axis=-1, keepdims=True)
+    at_minus = (a * signs).sum(axis=-1, keepdims=True)
+    return a - at_plus * u0 - at_minus * (signs * u0)
+
+
 # ---------------------------------------------------------------------------
 # Banded matrices (diagonal-major storage, LAPACK band layout)
 # ---------------------------------------------------------------------------
@@ -378,6 +397,8 @@ class BandedMatrix:
         for off in range(-self.upper_bw, self.lower_bw + 1):
             j0 = max(0, -off)
             j1 = min(self.n, self.n - off)
+            if j0 >= j1:
+                continue
             js = np.arange(j0, j1)
             a[js + off, js] = self.data[self.upper_bw + off, j0:j1]
         return a
@@ -398,8 +419,7 @@ class BandedMatrix:
         col = np.zeros(self.n, dtype=self.data.dtype)
         i0 = max(0, j - self.upper_bw)
         i1 = min(self.n, j + self.lower_bw + 1)
-        for i in range(i0, i1):
-            col[i] = self.data[self.upper_bw + i - j, j]
+        col[i0:i1] = self.data[self.upper_bw + i0 - j : self.upper_bw + i1 - j, j]
         return col
 
     def principal_submatrix(self, lo: int, hi: int) -> "BandedMatrix":
@@ -407,16 +427,12 @@ class BandedMatrix:
         if not (0 <= lo < hi <= self.n):
             raise ValueError("invalid submatrix range")
         m = hi - lo
-        out = BandedMatrix(m, self.lower_bw, self.upper_bw, dtype=self.data.dtype)
-        out.data[:, :] = self.data[:, lo:hi]
-        # Slots now referencing rows outside [lo, hi) must be cleared.
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            row = self.upper_bw + off
-            for j in range(m):
-                i = j + off
-                if i < 0 or i >= m:
-                    out.data[row, j] = 0.0
-        return out
+        # Slot (upper_bw + off, j) holds row j + off; slots now referencing
+        # rows outside [lo, hi) must be cleared.
+        rows = np.arange(m) + np.arange(-self.upper_bw, self.lower_bw + 1)[:, None]
+        data = np.where((rows < 0) | (rows >= m), 0, self.data[:, lo:hi])
+        return BandedMatrix(m, self.lower_bw, self.upper_bw, data=data,
+                            dtype=self.data.dtype)
 
     def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
         if self.n != other.n:
@@ -564,16 +580,16 @@ def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
 
 
 def fold_chebyshev_tail(coeffs, nu: int) -> np.ndarray:
-    """Alias Chebyshev coefficients onto indices 0..nu+1.
+    """Alias Chebyshev coefficients onto indices 0..nu+1, along the last axis.
 
     Index k maps to its reflection into [0, nu+1] under the dihedral
     aliasing of cos(m k pi/(nu+1)) in k (period 2(nu+1), even symmetry),
     so the returned series takes the same values on the grid.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    out = np.zeros(nu + 2, dtype=np.complex128)
+    out = np.zeros(c.shape[:-1] + (nu + 2,), dtype=np.complex128)
     period = 2 * (nu + 1)
-    k = np.arange(c.shape[0]) % period
+    k = np.arange(c.shape[-1]) % period
     k = np.where(k > nu + 1, period - k, k)
-    np.add.at(out, k, c)
+    np.add.at(out, (..., k), c)
     return out

@@ -7,9 +7,12 @@ banded system whose interior part is solved through one DCT-I per
 component plus a banded LU; the two boundary degrees of freedom per
 component that the row scaling annihilates are recovered from precomputed
 null vectors through a small dense bordering system.  Endpoint-derivative
-conditions (s >= 1) add 2s tail coefficients per component, resolved by
-auxiliary solves against the same factorization and one dense
-2Ms x 2Ms system.
+conditions (s >= 1) add 2s tail coefficients per component.  The tail
+columns do not depend on f: the engine solves them once, in coefficient
+space (no DCT), in the same multi-column banded solve as the null vectors,
+and each call then needs only one small dense 2Ms x 2Ms system.  A call
+costs 2M DCT-I transforms for every s: one inverse per component for the
+right-hand side and one forward per component for the residual.
 
 All solver entry points are pure functions of their problem; engines and
 results are immutable once returned.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
+    drop_endpoint_values,
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
@@ -102,6 +106,9 @@ class QuadratureResult:
     path: str
     wall_time: float
     flagged: bool = False
+    #: Why the fast path was abandoned (exception type and message, or the
+    #: flagged residual); None when the fast path was accepted.
+    fallback_reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,7 @@ class CollocationEngine:
         self.system = system
         self.nu = nu
         self.s = s
+        self.m = m
         self.grid = clenshaw_curtis_points(nu)
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range.
@@ -145,57 +153,105 @@ class CollocationEngine:
         self.reordered = reorder_block_banded(mids, self.perm)
         self.lu = banded_lu_factor(self.reordered)
 
-        # Unscaled collocation rows at the endpoints: rows_plus[i, j, n] is the
-        # coefficient of alpha_n^[j] in the i-th cleared equation at x = +1.
+        # Unscaled collocation rows at the endpoints over the whole basis
+        # (head and tail): rows_plus[i, j, n] is the coefficient of
+        # alpha_n^[j] in the i-th cleared equation at x = +1.  T_n'(+1) = n^2,
+        # T_n'(-1) = (-1)^(n-1) n^2, T_n(+-1) = (+-1)^n.
         n_head = nu + 2
-        ns = np.arange(n_head, dtype=np.float64)
-        tp = ns * ns                      # T_n'(+1)
-        tm = -(ns * ns) * (-1.0) ** ns    # T_n'(-1) = (-1)^(n-1) n^2
-        sp = np.ones(n_head)              # T_n(+1)
-        sm = (-1.0) ** ns                 # T_n(-1)
-        r_p = complex(system.r(1.0))
-        r_m = complex(system.r(-1.0))
-        self.rows_plus = np.empty((m, m, n_head), dtype=np.complex128)
-        self.rows_minus = np.empty((m, m, n_head), dtype=np.complex128)
-        for i in range(m):
-            for j in range(m):
-                gt_p = complex(system.r_g[j][i](1.0))
-                gt_m = complex(system.r_g[j][i](-1.0))
-                self.rows_plus[i, j] = (r_p * tp if i == j else 0.0) + gt_p * sp
-                self.rows_minus[i, j] = (r_m * tm if i == j else 0.0) + gt_m * sm
+        n_all = nu + 2 * s + 2
+        ns = np.arange(n_all, dtype=np.float64)
+        signs = (-1.0) ** ns
+        diag = np.eye(m)[:, :, None]
+        gt_p = np.array([[complex(system.r_g[j][i](1.0)) for j in range(m)] for i in range(m)])
+        gt_m = np.array([[complex(system.r_g[j][i](-1.0)) for j in range(m)] for i in range(m)])
+        self.rows_plus = complex(system.r(1.0)) * diag * (ns * ns) + gt_p[:, :, None]
+        self.rows_minus = (complex(system.r(-1.0)) * diag * (-(ns * ns) * signs)
+                           + gt_m[:, :, None] * signs)
 
-        # Null vectors of the projected system: v = e_{k,end} + interior part,
-        # one banded back-solve per endpoint column of the folded operator.
-        rhs = np.zeros((m * nu, 2 * m), dtype=np.complex128)
-        for k in range(m):
-            for e_idx, end in enumerate((0, nu + 1)):
-                col = 2 * k + e_idx
-                stacked = np.concatenate(
-                    [-self.folded[i][k].column(end)[1 : nu + 1] for i in range(m)]
-                )
-                rhs[:, col] = stacked[self.perm.perm]
-        sol = banded_solve(self.lu, rhs)
-        self.null_vectors = np.zeros((2 * m, m, n_head), dtype=np.complex128)
-        inv = self.perm.inverse
-        for k in range(m):
-            for e_idx, end in enumerate((0, nu + 1)):
-                col = 2 * k + e_idx
-                unperm = sol[:, col][inv]
-                self.null_vectors[col, :, 1 : nu + 1] = unperm.reshape(m, nu)
-                self.null_vectors[col, k, end] += 1.0
+        # One multi-column banded solve serves the null vectors of the
+        # projected system (v = e_{k,end} + interior part, against the
+        # endpoint columns of the folded operator) and, for s >= 1, the tail
+        # columns: the scaled operator applied to each tail element e_k T_n
+        # (n = nu+2 .. nu+2s+1), aliased onto the grid in coefficient space,
+        # whose grid values with the endpoints dropped need no DCT round trip.
+        ends = [(k, end) for k in range(m) for end in (0, nu + 1)]
+        rhs_cols = np.array([[self.folded[i][k].column(end) for i in range(m)]
+                             for k, end in ends])
+        tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
+        self.tail_ops = np.zeros((0, m, n_head), dtype=np.complex128)
+        if tail:
+            self.tail_ops = fold_chebyshev_tail(np.array(
+                [[self.blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
+            ), nu)
+            rhs_cols = np.concatenate([rhs_cols, drop_endpoint_values(self.tail_ops)])
+        heads = self._solve_interior(-rhs_cols[:, :, 1 : nu + 1])
+        self.null_vectors = heads[: 2 * m]
+        for col, (k, end) in enumerate(ends):
+            self.null_vectors[col, k, end] += 1.0
 
         # Bordering matrix: the 2M unscaled endpoint rows applied to the
         # 2M null vectors.
         self.border = np.empty((2 * m, 2 * m), dtype=np.complex128)
-        for i in range(m):
-            for col in range(2 * m):
-                v = self.null_vectors[col]
-                self.border[2 * i, col] = np.sum(self.rows_plus[i] * v)
-                self.border[2 * i + 1, col] = np.sum(self.rows_minus[i] * v)
+        self.border[0::2] = _apply_rows(self.rows_plus[..., :n_head], self.null_vectors).T
+        self.border[1::2] = _apply_rows(self.rows_minus[..., :n_head], self.null_vectors).T
+        if s == 0:
+            return
 
-        self.m = m
+        # tail_heads[c] solves the cleared system on the head for minus the
+        # operator applied to tail element c, whose endpoint values are the
+        # tail columns of the endpoint rows.
+        tail_plus, tail_minus = (
+            -rows[:, :, n_head:].transpose(1, 2, 0).reshape(len(tail), m)
+            for rows in (self.rows_plus, self.rows_minus)
+        )
+        self.tail_heads = self._meet_endpoint_rows(heads[2 * m :], tail_plus, tail_minus)
 
-    # -- single cleared solve -----------------------------------------------
+        # Cleared derivative conditions d^l [r L q]_i (+-1), l = 1..s, as
+        # rows over the whole basis, in (i, l, sign) order; applied to
+        # head + sum_c t_c (tail_heads[c] + tail element c) they give the
+        # 2Ms x 2Ms tail system.
+        self.r_derivs = _poly_endpoint_derivs(system.r, s)
+        gt_derivs = [[_poly_endpoint_derivs(system.r_g[j][i], s) for j in range(m)]
+                     for i in range(m)]
+        t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
+                  for sign in (+1, -1)]
+        self.tail_rows = np.zeros((len(tail), m, n_all), dtype=np.complex128)
+        for row, (i, l, e) in enumerate(_tail_conditions(m, s)):
+            for p in range(l + 1):
+                c = math.comb(l, p)
+                self.tail_rows[row, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
+                for j in range(m):
+                    self.tail_rows[row, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
+        self.tail_matrix = (
+            _apply_rows(self.tail_rows[..., :n_head], self.tail_heads).T
+            + self.tail_rows[..., n_head:].reshape(len(tail), len(tail))
+        )
+
+    # -- cleared solves ------------------------------------------------------
+
+    def _solve_interior(self, z_mid: np.ndarray) -> np.ndarray:
+        """Banded solve of the projected system for columns ``z_mid`` (K, M, nu).
+
+        Returns the heads (K, M, nu+2) with zero endpoint entries.
+        """
+        m, nu = self.m, self.nu
+        k = z_mid.shape[0]
+        x = banded_solve(self.lu, z_mid.reshape(k, m * nu).T[self.perm.perm])
+        heads = np.zeros((k, m, nu + 2), dtype=np.complex128)
+        heads[:, :, 1 : nu + 1] = x[self.perm.inverse].T.reshape(k, m, nu)
+        return heads
+
+    def _meet_endpoint_rows(self, heads: np.ndarray, rhs_plus: np.ndarray,
+                            rhs_minus: np.ndarray) -> np.ndarray:
+        """Add to each of ``heads`` (K, M, nu+2) the null-vector combination
+        that meets the 2M endpoint rows with values ``rhs_plus``, ``rhs_minus``
+        (K, M)."""
+        n_head = self.nu + 2
+        rhs = np.empty((2 * self.m, heads.shape[0]), dtype=np.complex128)
+        rhs[0::2] = (rhs_plus - _apply_rows(self.rows_plus[..., :n_head], heads)).T
+        rhs[1::2] = (rhs_minus - _apply_rows(self.rows_minus[..., :n_head], heads)).T
+        delta = dense_solve(self.border, rhs)
+        return heads + np.tensordot(delta.T, self.null_vectors, axes=1)
 
     def solve_cleared(self, rhs_scaled_mid: np.ndarray, rhs_plus: np.ndarray,
                       rhs_minus: np.ndarray) -> np.ndarray:
@@ -206,97 +262,58 @@ class CollocationEngine:
         b_i(+-1).  Returns coefficients of shape (M, nu+2).
         """
         m, nu = self.m, self.nu
-        z_mid = np.empty((m, nu), dtype=np.complex128)
+        z_mid = np.empty((1, m, nu), dtype=np.complex128)
         full = np.zeros(nu + 2, dtype=np.complex128)
         for i in range(m):
             full[1 : nu + 1] = rhs_scaled_mid[i]
-            z_mid[i] = apply_inverse_collocation(full)[1 : nu + 1]
-        x = banded_solve(self.lu, z_mid.reshape(m * nu)[self.perm.perm])
-        alpha0 = np.zeros((m, nu + 2), dtype=np.complex128)
-        alpha0[:, 1 : nu + 1] = x[self.perm.inverse].reshape(m, nu)
-
-        rhs_border = np.empty(2 * m, dtype=np.complex128)
-        for i in range(m):
-            rhs_border[2 * i] = rhs_plus[i] - np.sum(self.rows_plus[i] * alpha0)
-            rhs_border[2 * i + 1] = rhs_minus[i] - np.sum(self.rows_minus[i] * alpha0)
-        delta = dense_solve(self.border, rhs_border)
-        return alpha0 + np.tensordot(delta, self.null_vectors, axes=(0, 0))
-
-    # -- auxiliary tail columns (s >= 1) --------------------------------------
-
-    def aux_scaled_values(self, k: int, j: int) -> np.ndarray:
-        """(1-x^2)-scaled cleared operator applied to e_k T_{nu+1+j}, at the grid."""
-        n_col = self.nu + 1 + j
-        out = np.empty((self.m, self.nu + 2), dtype=np.complex128)
-        for i in range(self.m):
-            folded = fold_chebyshev_tail(self.blocks_big[i][k].column(n_col), self.nu)
-            out[i] = apply_collocation_matrix(folded, self.grid)
-        return out
-
-    def aux_endpoint_values(self, k: int, j: int):
-        """Unscaled cleared operator applied to e_k T_{nu+1+j} at x = +-1."""
-        n_col = self.nu + 1 + j
-        nn = float(n_col) ** 2
-        sgn = -1.0 if n_col % 2 else 1.0
-        h_plus = np.empty(self.m, dtype=np.complex128)
-        h_minus = np.empty(self.m, dtype=np.complex128)
-        r_p = complex(self.system.r(1.0))
-        r_m = complex(self.system.r(-1.0))
-        for i in range(self.m):
-            gt_p = complex(self.system.r_g[k][i](1.0))
-            gt_m = complex(self.system.r_g[k][i](-1.0))
-            h_plus[i] = (r_p * nn if i == k else 0.0) + gt_p
-            h_minus[i] = (r_m * (-sgn) * nn if i == k else 0.0) + gt_m * sgn
-        return h_plus, h_minus
+            z_mid[0, i] = apply_inverse_collocation(full)[1 : nu + 1]
+        heads = self._solve_interior(z_mid)
+        return self._meet_endpoint_rows(heads, rhs_plus[None], rhs_minus[None])[0]
 
     # -- residual --------------------------------------------------------------
 
-    def residual(self, head: np.ndarray, tail_flat: np.ndarray | None,
-                 f_values: np.ndarray, aux_scaled: list | None) -> float:
+    def residual(self, coeffs: np.ndarray, f_values: np.ndarray) -> float:
         """Max collocation residual |L_omega q - f| over all grid points.
 
-        The interior rows are checked in scaled cleared form and divided
-        back by (1 - c_m^2) r(c_m); the endpoint rows (recovered by the
-        bordering solve) are checked directly.
+        ``coeffs`` (M, nu+2s+2) holds head and tail.  The interior rows are
+        checked in scaled cleared form, the tail added in coefficient space
+        before one transform per component, and divided back by
+        (1 - c_m^2) r(c_m); the endpoint rows (recovered by the bordering
+        solve) are checked directly.
         """
         m, nu = self.m, self.nu
         grid = self.grid
+        head = coeffs[:, : nu + 2]
+        tail_flat = coeffs[:, nu + 2 :].reshape(-1)
         r_vals = self.system.r(grid.points)
         scaled_target = grid.sin2 * r_vals * f_values
         rp = complex(self.system.r(1.0))
         rm = complex(self.system.r(-1.0))
-        h_plus_tot = np.zeros(m, dtype=np.complex128)
-        h_minus_tot = np.zeros(m, dtype=np.complex128)
-        if tail_flat is not None:
-            for idx, (k, j) in enumerate(self._tail_index_pairs()):
-                hp, hm = self.aux_endpoint_values(k, j)
-                h_plus_tot += tail_flat[idx] * hp
-                h_minus_tot += tail_flat[idx] * hm
         resid = 0.0
         for i in range(m):
-            acc = np.zeros(nu + 2, dtype=np.complex128)
+            acc = tail_flat @ self.tail_ops[:, i]
             for j in range(m):
                 acc += self.folded[i][j].matvec(head[j])
             y = apply_collocation_matrix(acc, grid)
-            if tail_flat is not None:
-                for idx, vals in enumerate(aux_scaled):
-                    y = y + tail_flat[idx] * vals[i]
             interior = np.abs(y[1:-1] - scaled_target[i, 1:-1]) / (
                 grid.sin2[1:-1] * np.abs(r_vals[1:-1])
             )
             resid = max(resid, float(interior.max()))
-            end_p = np.sum(self.rows_plus[i] * head) + h_plus_tot[i]
-            end_m = np.sum(self.rows_minus[i] * head) + h_minus_tot[i]
+            end_p = np.sum(self.rows_plus[i] * coeffs)
+            end_m = np.sum(self.rows_minus[i] * coeffs)
             resid = max(resid, abs(end_p - rp * f_values[i, 0]) / abs(rp))
             resid = max(resid, abs(end_m - rm * f_values[i, -1]) / abs(rm))
         return resid
 
-    def _tail_index_pairs(self):
-        return [(k, j) for k in range(self.m) for j in range(1, 2 * self.s + 1)]
+
+def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Rows (R, M, n) applied to each of ``heads`` (K, M, n); returns (K, R)."""
+    products = rows[None] * heads[:, None]
+    return products.reshape(products.shape[:2] + (-1,)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# Endpoint-derivative (tail) machinery for s >= 1
+# Endpoint-derivative (tail) conditions for s >= 1
 # ---------------------------------------------------------------------------
 
 def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,68 +328,22 @@ def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> tuple[np.ndarray, np.nda
     return plus, minus
 
 
-class _TailAssembler:
-    """Rows of the cleared derivative conditions d^l [r L q]_i (+-1)."""
+def _tail_conditions(m: int, s: int):
+    """(component i, order l, endpoint index e) of each tail condition, in row order."""
+    return [(i, l, e) for i in range(m) for l in range(1, s + 1) for e in (0, 1)]
 
-    def __init__(self, engine: CollocationEngine):
-        self.engine = engine
-        s = engine.s
-        sys = engine.system
-        m = engine.m
-        self.r_derivs = _poly_endpoint_derivs(sys.r, s)
-        self.gt_derivs = [
-            [_poly_endpoint_derivs(sys.r_g[j][i], s) for j in range(m)]
-            for i in range(m)
-        ]
-        n_head = engine.nu + 2
-        n_all = engine.nu + 2 * s + 2
-        # Endpoint derivative tables for T_n, orders 0..s+1.
-        self.t_plus = np.stack(
-            [endpoint_derivative_row(n_all - 1, l, +1) for l in range(s + 2)]
-        )
-        self.t_minus = np.stack(
-            [endpoint_derivative_row(n_all - 1, l, -1) for l in range(s + 2)]
-        )
-        self.n_head = n_head
 
-    def row_on_head(self, i: int, l: int, sign: int, head: np.ndarray) -> complex:
-        """Apply d^l [r L .]_i (sign 1) to coefficients on the nu+2 head."""
-        eng = self.engine
-        t_tab = self.t_plus if sign > 0 else self.t_minus
-        e_idx = 0 if sign > 0 else 1
-        total = 0.0 + 0.0j
-        for p in range(l + 1):
-            c = math.comb(l, p)
-            r_p = self.r_derivs[e_idx][p]
-            total += c * r_p * np.dot(head[i], t_tab[l + 1 - p, : self.n_head])
-            for j in range(eng.m):
-                g_p = self.gt_derivs[i][j][e_idx][p]
-                total += c * g_p * np.dot(head[j], t_tab[l - p, : self.n_head])
-        return total
-
-    def row_on_tail_basis(self, i: int, l: int, sign: int, k: int, j: int) -> complex:
-        """Apply d^l [r L .]_i (sign 1) to the basis element e_k T_{nu+1+j}."""
-        eng = self.engine
-        t_tab = self.t_plus if sign > 0 else self.t_minus
-        e_idx = 0 if sign > 0 else 1
-        n_col = eng.nu + 1 + j
-        total = 0.0 + 0.0j
-        for p in range(l + 1):
-            c = math.comb(l, p)
-            if i == k:
-                total += c * self.r_derivs[e_idx][p] * t_tab[l + 1 - p, n_col]
-            total += c * self.gt_derivs[i][k][e_idx][p] * t_tab[l - p, n_col]
-        return total
-
-    def cleared_f_derivative(self, amplitude: AmplitudeSpec, i: int, l: int,
-                             sign: int) -> complex:
-        """d^l [r f_i] at sign 1 via Leibniz on exact r derivatives."""
-        e_idx = 0 if sign > 0 else 1
-        total = 0.0 + 0.0j
-        for p in range(l + 1):
-            f_der = amplitude.derivative(l - p, sign)[i]
-            total += math.comb(l, p) * self.r_derivs[e_idx][p] * f_der
-        return total
+def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
+                           f_values: np.ndarray) -> np.ndarray:
+    """d^l [r f_i] at the endpoints, by Leibniz on exact r derivatives."""
+    f_ders = [
+        [f_values[:, 0]] + [amplitude.derivative(q, +1) for q in range(1, eng.s + 1)],
+        [f_values[:, -1]] + [amplitude.derivative(q, -1) for q in range(1, eng.s + 1)],
+    ]
+    return np.array([
+        sum(math.comb(l, p) * eng.r_derivs[e][p] * f_ders[e][l - p][i] for p in range(l + 1))
+        for i, l, e in _tail_conditions(eng.m, eng.s)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +354,6 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     t0 = time.perf_counter()
     eng = CollocationEngine(problem.system, problem.nu, problem.s)
     grid = eng.grid
-    m, nu, s = eng.m, eng.nu, eng.s
 
     f_values = problem.amplitude.values(grid.points)
     r_vals = problem.system.r(grid.points)
@@ -391,54 +361,21 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     rhs_plus = r_vals[0] * f_values[:, 0]
     rhs_minus = r_vals[-1] * f_values[:, -1]
 
-    if s == 0:
-        head = eng.solve_cleared(rhs_scaled_mid, rhs_plus, rhs_minus)
-        tail_flat = None
-        aux_scaled = None
-        coeffs = head
-    else:
-        beta = eng.solve_cleared(rhs_scaled_mid, rhs_plus, rhs_minus)
-        pairs = eng._tail_index_pairs()
-        aux_scaled = []
-        betas_aux = []
-        for (k, j) in pairs:
-            vals = eng.aux_scaled_values(k, j)
-            h_plus, h_minus = eng.aux_endpoint_values(k, j)
-            aux_scaled.append(vals)
-            betas_aux.append(
-                eng.solve_cleared(-vals[:, 1:-1], -h_plus, -h_minus)
-            )
-        asm = _TailAssembler(eng)
-        n_t = len(pairs)
-        mat = np.empty((n_t, n_t), dtype=np.complex128)
-        rhs = np.empty(n_t, dtype=np.complex128)
-        row = 0
-        for i in range(m):
-            for l in range(1, s + 1):
-                for sign in (+1, -1):
-                    for col, (k, j) in enumerate(pairs):
-                        mat[row, col] = (
-                            asm.row_on_head(i, l, sign, betas_aux[col])
-                            + asm.row_on_tail_basis(i, l, sign, k, j)
-                        )
-                    rhs[row] = (
-                        asm.cleared_f_derivative(problem.amplitude, i, l, sign)
-                        - asm.row_on_head(i, l, sign, beta)
-                    )
-                    row += 1
-        tail_flat = dense_solve(mat, rhs)
-        head = beta.copy()
-        for col in range(n_t):
-            head += tail_flat[col] * betas_aux[col]
-        coeffs = np.zeros((m, nu + 2 * s + 2), dtype=np.complex128)
-        coeffs[:, : nu + 2] = head
-        coeffs[:, nu + 2 :] = tail_flat.reshape(m, 2 * s)
+    coeffs = eng.solve_cleared(rhs_scaled_mid, rhs_plus, rhs_minus)
+    if eng.s >= 1:
+        rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
+               - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
+        tail_flat = dense_solve(eng.tail_matrix, rhs)
+        coeffs = np.concatenate(
+            [coeffs + np.tensordot(tail_flat, eng.tail_heads, axes=1),
+             tail_flat.reshape(eng.m, 2 * eng.s)],
+            axis=1,
+        )
 
     value = _boundary_value(problem.system, coeffs)
-    resid = eng.residual(head, tail_flat, f_values, aux_scaled)
+    resid = eng.residual(coeffs, f_values)
     f_scale = float(np.max(np.abs(f_values)))
     flagged = resid > RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
-    coeffs = coeffs.copy()
     coeffs.setflags(write=False)
     return QuadratureResult(
         value=value,
@@ -504,8 +441,9 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
         fast_result = _solve_fast(problem, path)
         if not fast_result.flagged:
             return fast_result
-    except (SingularMatrixError, UnsupportedRegimeError):
-        pass
+        reason = f"flagged residual {fast_result.residual:.3e}"
+    except (SingularMatrixError, UnsupportedRegimeError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
     from .reference import dense_levin_solve
 
     try:
@@ -514,18 +452,12 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
         if fast_result is not None:
             # Dense is unavailable (singular or over the size guard);
             # the flagged fast result is the best we have.
-            return fast_result
+            return replace(fast_result, fallback_reason=(
+                f"{reason}; dense path failed: {type(exc).__name__}: {exc}"))
         raise UnsolvableProblemError(
-            "both the fast path and the dense path failed"
+            f"both the fast path ({reason}) and the dense path failed"
         ) from exc
-    return QuadratureResult(
-        value=result.value,
-        coeffs=result.coeffs,
-        residual=result.residual,
-        path="dense_fallback",
-        wall_time=result.wall_time,
-        flagged=result.flagged,
-    )
+    return replace(result, path="dense_fallback", fallback_reason=reason)
 
 
 # ---------------------------------------------------------------------------

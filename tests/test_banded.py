@@ -283,6 +283,23 @@ def test_dense_solve_accepts_badly_column_scaled():
     assert np.allclose(a @ x, [1.0, 1.0], rtol=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 6])
+def test_dense_solve_matrix_rhs_matches_column_solves(k):
+    # a badly column-scaled 4 x 4 matrix; k = 4 is the square right-hand
+    # side, where dividing by the scales along the wrong axis still
+    # broadcasts and silently returns a wrong answer
+    rng = np.random.default_rng(k)
+    n = 4
+    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+        * np.logspace(-9, 6, n)
+    b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    x = dense_solve(a, b)
+    assert x.shape == (n, k)
+    for c in range(k):
+        assert np.allclose(x[:, c], dense_solve(a, b[:, c]), rtol=1e-12, atol=0)
+    assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 # ---------------------------------------------------------------------------
 # Condition estimation
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
@@ -22,6 +24,7 @@ from oscillquad.chebyshev import (
     clenshaw_curtis_points,
     dct1_forward,
     dct1_inverse,
+    drop_endpoint_values,
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
@@ -313,6 +316,19 @@ def test_inverse_collocation_roundtrip_and_interpolation():
     assert np.allclose(cheb_eval(coeffs, grid.points), vals, atol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [2, 6, 64, 1000, 8192])
+def test_drop_endpoint_values_matches_dct_round_trip(nu):
+    # closed form of C^-1 (C a with both endpoint values zeroed)
+    rng = np.random.default_rng(nu)
+    a = rng.normal(size=(3, nu + 2)) + 1j * rng.normal(size=(3, nu + 2))
+    got = drop_endpoint_values(a)
+    for row, want_from in zip(got, a):
+        vals = apply_collocation_matrix(want_from)
+        vals[0] = vals[-1] = 0.0
+        want = apply_inverse_collocation(vals)
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want_from))
+
+
 # ---------------------------------------------------------------------------
 # Elementary banded operators
 # ---------------------------------------------------------------------------
@@ -497,6 +513,16 @@ def test_fold_chebyshev_tail_reflects_indices():
                        cheb_eval(coeffs, grid.points), atol=1e-12)
 
 
+def test_fold_chebyshev_tail_works_along_last_axis():
+    nu = 6
+    rng = np.random.default_rng(9)
+    coeffs = rng.normal(size=(2, 3, nu + 11))
+    folded = fold_chebyshev_tail(coeffs, nu)
+    assert folded.shape == (2, 3, nu + 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(folded[idx], fold_chebyshev_tail(coeffs[idx], nu))
+
+
 # ---------------------------------------------------------------------------
 # BandedMatrix container behaviour
 # ---------------------------------------------------------------------------
@@ -528,3 +554,42 @@ def test_banded_matmul_and_matvec_match_dense():
     v = rng.normal(size=9)
     assert np.allclose(a.matvec(v), a.to_dense() @ v)
     assert np.allclose((a + b).to_dense(), a.to_dense() + b.to_dense())
+
+
+@st.composite
+def banded_and_range(draw):
+    """A random banded matrix (bandwidths up to past n) and a range lo < hi."""
+    n = draw(st.integers(1, 12))
+    lower_bw = draw(st.integers(0, 14))
+    upper_bw = draw(st.integers(0, 14))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense = np.triu(np.tril(dense, lower_bw), -upper_bw)
+    return BandedMatrix.from_dense(dense, lower_bw, upper_bw), lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(banded_and_range())
+def test_column_and_principal_submatrix_match_dense_slices(case):
+    a, lo, hi = case
+    dense = a.to_dense()
+    for j in range(a.n):
+        assert np.array_equal(a.column(j), dense[:, j])
+    sub = a.principal_submatrix(lo, hi)
+    assert (sub.n, sub.lower_bw, sub.upper_bw) == (hi - lo, a.lower_bw, a.upper_bw)
+    assert np.array_equal(sub.to_dense(), dense[lo:hi, lo:hi])
+    # slots addressing rows outside the submatrix are cleared, as LAPACK expects
+    expected = BandedMatrix.from_dense(dense[lo:hi, lo:hi], a.lower_bw, a.upper_bw)
+    assert np.array_equal(sub.data, expected.data)
+
+
+def test_principal_submatrix_full_range_and_wide_band():
+    a = BandedMatrix.from_dense(np.arange(1.0, 17.0).reshape(4, 4), 5, 6)
+    dense = a.to_dense()
+    assert np.array_equal(a.principal_submatrix(0, 4).to_dense(), dense)
+    assert np.array_equal(a.principal_submatrix(1, 3).to_dense(), dense[1:3, 1:3])
+    assert np.array_equal(a.principal_submatrix(2, 3).data[:, 0],
+                          np.eye(12)[6] * dense[2, 2])

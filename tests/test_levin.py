@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from oscillquad.amplitudes import manufactured_amplitude, manufactured_expected_value
+from oscillquad import levin
+from oscillquad.banded import SingularMatrixError
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
     Polynomial,
+    apply_collocation_matrix,
     build_banded_operator,
     clenshaw_curtis_points,
     endpoint_derivative_row,
     fold_operator,
 )
 from oscillquad.levin import (
+    CollocationEngine,
     LevinProblem,
     null_vectors_scalar,
     quadrature,
@@ -310,6 +314,51 @@ def test_block_s_zero_amplitude():
 
 
 # ---------------------------------------------------------------------------
+# Engine: multi-column solves at build time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,s", [(1, 1), (1, 3), (2, 1), (2, 2)])
+def test_engine_tail_columns_match_one_cleared_solve_each(m, s):
+    # the tail columns are solved once per engine, in one multi-column
+    # banded solve and one border solve, with no DCT round trip; each must
+    # equal solve_cleared of minus the operator applied to that tail element
+    nu = 24
+    sys = make_exponential([0.0, 1.0], 80.0) if m == 1 else make_bessel(1, 2.0, 80.0)
+    eng = CollocationEngine(sys, nu, s)
+    n_head = nu + 2
+    tail = [(k, n) for k in range(m) for n in range(n_head, n_head + 2 * s)]
+    assert eng.tail_heads.shape == (len(tail), m, n_head)
+    for c, (k, n) in enumerate(tail):
+        vals = np.array([apply_collocation_matrix(eng.tail_ops[c, i]) for i in range(m)])
+        want = eng.solve_cleared(-vals[:, 1:-1], -eng.rows_plus[:, k, n],
+                                 -eng.rows_minus[:, k, n])
+        assert np.max(np.abs(eng.tail_heads[c] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_engine_null_vectors_are_annihilated_on_the_interior():
+    sys = make_bessel(1, 2.0, 60.0)
+    nu = 20
+    eng = CollocationEngine(sys, nu, 1)
+    for v in eng.null_vectors:
+        interior = [sum(eng.folded[i][j].matvec(v[j]) for j in range(2))[1 : nu + 1]
+                    for i in range(2)]
+        assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("m,s", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_fast_solve_runs_2m_transforms_for_every_s(m, s, monkeypatch):
+    calls = []
+    for name in ("apply_collocation_matrix", "apply_inverse_collocation"):
+        original = getattr(levin, name)
+        monkeypatch.setattr(levin, name,
+                            lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+    sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=32, s=s))
+    assert res.fallback_reason is None
+    assert len(calls) == 2 * m
+
+
+# ---------------------------------------------------------------------------
 # Fast/dense equivalence and result invariants
 # ---------------------------------------------------------------------------
 
@@ -454,6 +503,44 @@ def test_dispatcher_small_omega_falls_back_to_dense():
     assert np.isfinite(res.value.real) and np.isfinite(res.value.imag)
     exact = oracle_value(sys, rr, 200000)
     assert abs(res.value - exact) <= 5e-5
+
+
+def test_fallback_reason_records_flagged_residual():
+    sys = make_exponential([0.0, 1.0], 0.001)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=16))
+    assert res.path == "dense_fallback"
+    assert res.fallback_reason.startswith("flagged residual ")
+    assert float(res.fallback_reason.split()[-1]) > 0.0
+
+
+def test_fallback_reason_records_unsupported_regime():
+    # a cubic phase widens the band past what nu = 2 can fold
+    sys = make_exponential([0.0, 0.0, 0.0, 1.0], 100.0)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=2))
+    assert res.path == "dense_fallback"
+    assert res.fallback_reason.startswith("UnsupportedRegimeError: nu=2 too small")
+
+
+def test_fallback_reason_records_singular_pivot(monkeypatch):
+    def singular(a):
+        raise SingularMatrixError("banded matrix numerically singular at pivot 7", 7)
+
+    monkeypatch.setattr(levin, "banded_lu_factor", singular)
+    sys = make_exponential([0.0, 1.0], 100.0)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=16))
+    assert res.path == "dense_fallback"
+    assert res.fallback_reason == (
+        "SingularMatrixError: banded matrix numerically singular at pivot 7")
+
+
+def test_fallback_reason_keeps_dense_failure_when_fast_result_returned():
+    # omega so small that the fast residual is flagged and the dense system
+    # is singular: the flagged fast result comes back with both causes
+    sys = make_exponential([0.0, 1.0], 1e-12)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=64))
+    assert res.path == "scalar_s0" and res.flagged
+    assert res.fallback_reason.startswith("flagged residual ")
+    assert "dense path failed: SingularMatrixError" in res.fallback_reason
 
 
 def test_minimal_even_grid():
