@@ -296,8 +296,18 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None,
 
 
 def apply_inverse_collocation(values, fast: bool = True) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through grid values (C^-1 @ values)."""
-    z = dct1_inverse(np.asarray(values, dtype=np.complex128), fast=fast)
+    """Chebyshev coefficients of the interpolant through grid values (C^-1 @ values).
+
+    Returns complex128.  Real values (or complex ones with a zero imaginary
+    part) take a real DCT-I, which gives the same numbers as the complex one
+    at half the transforms.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and values.imag.any():
+        values = values.astype(np.complex128, copy=False)
+    else:
+        values = values.real.astype(np.float64, copy=False)
+    z = dct1_inverse(values, fast=fast).astype(np.complex128, copy=False)
     z[0] *= 0.5
     z[-1] *= 0.5
     return z

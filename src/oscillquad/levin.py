@@ -14,15 +14,24 @@ and each call then needs only one small dense 2Ms x 2Ms system.  A call
 costs 2M DCT-I transforms for every s: one inverse per component for the
 right-hand side and one forward per component for the residual.
 
-All solver entry points are pure functions of their problem; engines and
-results are immutable once returned.
+The engine does not depend on f, so one slot keeps the last engine built
+and every fast solve goes through it (``_engine_for``).  Its key is the
+values the engine reads: nu, s and the coefficients of r and of r G
+(which fix M).  Separately built systems with equal values share an
+engine; a change of omega, phase, Bessel order or shift, nu or s misses.
+On a miss the old engine is dropped before the new one is built, so two
+never live at once.  Repeated amplitudes on one system pay the build
+once; a stream of distinct systems pays it every call, as without reuse.
+
+All solver entry points are pure functions of their problem; a shared
+engine is read-only and results are immutable once returned.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -109,6 +118,8 @@ class QuadratureResult:
     #: Why the fast path was abandoned (exception type and message, or the
     #: flagged residual); None when the fast path was accepted.
     fallback_reason: str | None = None
+    #: True when the fast path used an engine already built by an earlier call.
+    engine_reused: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +143,19 @@ class CollocationEngine:
         max_deg = max(max(p.degree for row in p_mult for p in row), p_diff.degree)
         n_build = nu + 2 * s + 2 + max_deg + 4
         zero = Polynomial([0.0])
-        self.blocks_big = [
+        blocks_big = [
             [build_banded_operator(p_diff if i == j else zero, p_mult[i][j], n_build)
              for j in range(m)]
             for i in range(m)
         ]
-        lbw = max(b.lower_bw for row in self.blocks_big for b in row)
+        lbw = max(b.lower_bw for row in blocks_big for b in row)
         self.fold_depth = lbw - 1
         if nu <= self.fold_depth:
             raise UnsupportedRegimeError(
                 f"nu={nu} too small for operator bandwidth (need nu > {self.fold_depth})"
             )
         self.folded = [
-            [fold_operator(self.blocks_big[i][j], nu, self.fold_depth) for j in range(m)]
+            [fold_operator(blocks_big[i][j], nu, self.fold_depth) for j in range(m)]
             for i in range(m)
         ]
 
@@ -181,7 +192,7 @@ class CollocationEngine:
         self.tail_ops = np.zeros((0, m, n_head), dtype=np.complex128)
         if tail:
             self.tail_ops = fold_chebyshev_tail(np.array(
-                [[self.blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
+                [[blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
             ), nu)
             rhs_cols = np.concatenate([rhs_cols, drop_endpoint_values(self.tail_ops)])
         heads = self._solve_interior(-rhs_cols[:, :, 1 : nu + 1])
@@ -306,6 +317,57 @@ class CollocationEngine:
         return resid
 
 
+def _freeze(value) -> None:
+    """Mark every array in ``value`` read-only, through lists, tuples,
+    banded matrices and dataclasses (LU factors, permutations, grids)."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze(item)
+    elif isinstance(value, BandedMatrix):
+        value.data.setflags(write=False)
+    elif is_dataclass(value):
+        for field in fields(value):
+            _freeze(getattr(value, field.name))
+
+
+#: The last engine built, as (key, engine); None when empty.
+_engine_slot: tuple | None = None
+
+
+def _engine_for(system: OscillatorSystem, nu: int, s: int) -> tuple[CollocationEngine, bool]:
+    """The engine for (system, nu, s), and whether it came from the slot.
+
+    The key holds everything the engine reads from ``system``: the
+    coefficients of r and of each r G entry (whose count fixes M).  Threads
+    may race on the slot; the loser only builds an engine it could have
+    shared.
+    """
+    global _engine_slot
+    key = (nu, s, system.r.coeffs.tobytes(),
+           tuple(p.coeffs.tobytes() for row in system.r_g for p in row))
+    slot = _engine_slot
+    if slot is not None and slot[0] == key:
+        return slot[1], True
+    # Drop the old engine before building, so that two never live at once;
+    # a build that raises leaves the slot empty.
+    del slot
+    _engine_slot = None
+    engine = CollocationEngine(system, nu, s)
+    # Every later call with this key shares the engine: no caller may write
+    # to it.  ``system`` stays the caller's.
+    _freeze([value for name, value in vars(engine).items() if name != "system"])
+    _engine_slot = (key, engine)
+    return engine, False
+
+
+def _forget_engine() -> None:
+    """Empty the engine slot, so that the next fast solve builds its engine."""
+    global _engine_slot
+    _engine_slot = None
+
+
 def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Rows (R, M, n) applied to each of ``heads`` (K, M, n); returns (K, R)."""
     products = rows[None] * heads[:, None]
@@ -352,7 +414,7 @@ def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
 
 def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     t0 = time.perf_counter()
-    eng = CollocationEngine(problem.system, problem.nu, problem.s)
+    eng, reused = _engine_for(problem.system, problem.nu, problem.s)
     grid = eng.grid
 
     f_values = problem.amplitude.values(grid.points)
@@ -384,6 +446,7 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
         path=path,
         wall_time=time.perf_counter() - t0,
         flagged=flagged,
+        engine_reused=reused,
     )
 
 

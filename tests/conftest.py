@@ -1,10 +1,12 @@
-"""Shared fixtures: cached oracle values and standard amplitudes."""
+"""Shared fixtures: cached oracle values, standard amplitudes, and an
+empty engine slot for every test."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from oscillquad import levin
 from oscillquad.amplitudes import rational_amplitude
 from oscillquad.chebyshev import Polynomial
 from oscillquad.reference import oracle_value
@@ -16,6 +18,13 @@ RUNGE_DEN = Polynomial([0.02, 0.0, 1.0])
 
 def runge_amplitude(dim: int = 1):
     return rational_amplitude(RUNGE_NUM, RUNGE_DEN, dim, name="rational_runge")
+
+
+@pytest.fixture(autouse=True)
+def empty_engine_slot():
+    """Start every test without a cached engine, so that no test's result
+    depends on which test ran before it."""
+    levin._forget_engine()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from oscillquad import levin
 from oscillquad.banded import banded_condest, dense_condest, hockney_permutation, reorder_block_banded
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
@@ -207,6 +208,14 @@ def test_criterion_4_omega_decay(oracle_cache):
 # 5. Cost scaling
 # ---------------------------------------------------------------------------
 
+def cold_wall_time(prob):
+    """Wall time of a fast solve that builds its engine (no reuse)."""
+    levin._forget_engine()
+    result = solve_scalar_s0(prob)
+    assert not result.engine_reused
+    return result.wall_time
+
+
 def test_criterion_5_cost_scaling():
     t0 = time.perf_counter()
     amp = runge_amplitude(1)
@@ -215,11 +224,11 @@ def test_criterion_5_cost_scaling():
     times = []
     for nu in sizes:
         prob = LevinProblem(system=sys100, amplitude=amp, nu=nu)
-        runs = sorted(solve_scalar_s0(prob).wall_time for _ in range(3))
+        runs = sorted(cold_wall_time(prob) for _ in range(3))
         times.append(runs[1])
     slope = fit_loglog_slope(sizes, times)
     prob = LevinProblem(system=sys100, amplitude=amp, nu=4096)
-    fast_time = sorted(solve_scalar_s0(prob).wall_time for _ in range(3))[1]
+    fast_time = sorted(cold_wall_time(prob) for _ in range(3))[1]
     dense_time = dense_levin_solve(prob).wall_time
     ratio = dense_time / fast_time
     elapsed = time.perf_counter() - t0

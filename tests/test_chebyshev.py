@@ -316,6 +316,25 @@ def test_inverse_collocation_roundtrip_and_interpolation():
     assert np.allclose(cheb_eval(coeffs, grid.points), vals, atol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [2, 7, 64, 1000, 32768])
+def test_inverse_collocation_of_real_values_equals_the_complex_transform(nu):
+    # real input (or complex with a zero imaginary part) takes a real DCT-I;
+    # the result must equal the complex128 transform bit for bit
+    def complex_transform(values):
+        z = dct1_inverse(np.asarray(values, dtype=np.complex128))
+        z[0] *= 0.5
+        z[-1] *= 0.5
+        return z
+
+    rng = np.random.default_rng(nu)
+    re = rng.normal(size=nu + 2) * 10.0 ** rng.uniform(-20, 20, size=nu + 2)
+    im = rng.normal(size=nu + 2)
+    for values in (re, re + 0j, -re.astype(np.float32), np.arange(nu + 2), re + 1j * im):
+        got = apply_inverse_collocation(values)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, complex_transform(values))
+
+
 @pytest.mark.parametrize("nu", [2, 6, 64, 1000, 8192])
 def test_drop_endpoint_values_matches_dct_round_trip(nu):
     # closed form of C^-1 (C a with both endpoint values zeroed)

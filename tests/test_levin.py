@@ -1,16 +1,24 @@
 """Fast solver tiers: interior solve, null vectors, bordering, tails,
-dispatcher, and the cross-checks against the dense reference path."""
+engine reuse, dispatcher, and the cross-checks against the dense
+reference path."""
 
 from __future__ import annotations
 
 import math
+import sys as sys_module
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from oscillquad.amplitudes import manufactured_amplitude, manufactured_expected_value
+from oscillquad.amplitudes import (
+    manufactured_amplitude,
+    manufactured_expected_value,
+    rational_amplitude,
+)
 from oscillquad import levin
-from oscillquad.banded import SingularMatrixError
+from oscillquad.banded import BandedLU, SingularMatrixError
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
     Polynomial,
@@ -557,8 +565,6 @@ def test_minimal_even_grid():
 def test_parallel_solves_reproduce_serial():
     # solves are pure: a thread pool over an omega grid must reproduce the
     # sequential values bit for bit
-    from concurrent.futures import ThreadPoolExecutor
-
     amp = runge_amplitude(1)
 
     def solve(omega):
@@ -570,6 +576,170 @@ def test_parallel_solves_reproduce_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(solve, omegas))
     assert serial == threaded
+
+
+# ---------------------------------------------------------------------------
+# Engine reuse: one value-keyed slot
+# ---------------------------------------------------------------------------
+
+def runge_shifted(shift, dim=1):
+    """(x + shift) / (x^2 + 0.02): one amplitude per shift, for one system."""
+    return rational_amplitude(Polynomial([shift, 1.0]), Polynomial([0.02, 0.0, 1.0]),
+                              dim, name=f"runge+{shift}")
+
+
+def count_engine_builds(monkeypatch):
+    builds = []
+    original = CollocationEngine.__init__
+
+    def init(self, *args):
+        builds.append(args[1:])
+        original(self, *args)
+
+    monkeypatch.setattr(CollocationEngine, "__init__", init)
+    return builds
+
+
+@pytest.mark.parametrize("make_sys,s", [
+    (lambda: make_exponential([0.0, 1.0, 0.3], 150.0), 0),
+    (lambda: make_exponential([0.0, 1.0], 150.0), 2),
+    (lambda: make_bessel(2, 2.5, 90.0), 1),
+])
+def test_equal_systems_share_one_engine_and_match_cold_solves(make_sys, s, monkeypatch):
+    m = make_sys().dim
+    amps = [runge_shifted(shift, m) for shift in (0.0, 0.3, -0.7)]
+    cold = []
+    for amp in amps:
+        levin._forget_engine()
+        cold.append(quadrature(LevinProblem(system=make_sys(), amplitude=amp, nu=48, s=s)))
+    levin._forget_engine()
+    builds = count_engine_builds(monkeypatch)
+    # a separately built system with equal values for every call
+    warm = [quadrature(LevinProblem(system=make_sys(), amplitude=amp, nu=48, s=s))
+            for amp in amps]
+    assert builds == [(48, s)]
+    assert [r.engine_reused for r in warm] == [False, True, True]
+    assert not any(r.engine_reused for r in cold)
+    for c, w in zip(cold, warm):
+        assert c.path == w.path and c.fallback_reason is None
+        assert c.value == w.value
+        assert np.array_equal(c.coeffs, w.coeffs) and c.residual == w.residual
+
+
+@pytest.mark.parametrize("changed", [
+    lambda: (make_exponential([0.0, 1.0], 151.0), 32, 1),   # omega
+    lambda: (make_exponential([0.0, 1.0, 0.1], 150.0), 32, 1),  # phase
+    lambda: (make_exponential([0.0, 1.0], 150.0), 34, 1),   # nu
+    lambda: (make_exponential([0.0, 1.0], 150.0), 32, 2),   # s
+])
+def test_any_change_to_what_the_engine_reads_misses(changed, monkeypatch):
+    levin._engine_for(make_exponential([0.0, 1.0], 150.0), 32, 1)
+    builds = count_engine_builds(monkeypatch)
+    sys, nu, s = changed()
+    engine, reused = levin._engine_for(sys, nu, s)
+    assert not reused and len(builds) == 1
+    assert (engine.nu, engine.s) == (nu, s) and engine.system is sys
+
+
+@pytest.mark.parametrize("changed", [
+    lambda: make_bessel(2, 2.0, 80.0),   # order
+    lambda: make_bessel(1, 2.5, 80.0),   # shift
+    lambda: make_bessel(1, 2.0, 81.0),   # omega
+])
+def test_any_change_to_the_bessel_system_misses(changed, monkeypatch):
+    levin._engine_for(make_bessel(1, 2.0, 80.0), 32, 0)
+    assert levin._engine_for(make_bessel(1, 2.0, 80.0), 32, 0)[1]
+    builds = count_engine_builds(monkeypatch)
+    assert not levin._engine_for(changed(), 32, 0)[1]
+    assert len(builds) == 1
+
+
+def test_engine_miss_drops_the_old_engine_before_building(monkeypatch):
+    old, _ = levin._engine_for(make_bessel(1, 2.0, 80.0), 64, 1)
+    old_ref = weakref.ref(old)
+    del old
+    alive_at_build = []
+    original = CollocationEngine.__init__
+
+    def init(self, *args):
+        alive_at_build.append(old_ref() is not None)
+        original(self, *args)
+
+    monkeypatch.setattr(CollocationEngine, "__init__", init)
+    quadrature(LevinProblem(system=make_bessel(1, 2.0, 81.0), amplitude=runge_amplitude(2),
+                            nu=64, s=1))
+    assert alive_at_build == [False]
+
+
+def test_engine_build_that_raises_leaves_the_slot_empty(monkeypatch):
+    sys = make_exponential([0.0, 1.0], 100.0)
+    levin._engine_for(sys, 16, 0)
+
+    def singular(a):
+        raise SingularMatrixError("banded matrix numerically singular at pivot 3", 3)
+
+    monkeypatch.setattr(levin, "banded_lu_factor", singular)
+    with pytest.raises(SingularMatrixError):
+        levin._engine_for(sys, 18, 0)
+    assert levin._engine_slot is None
+    monkeypatch.undo()
+    assert not levin._engine_for(sys, 18, 0)[1]
+    assert levin._engine_for(sys, 18, 0)[1]
+
+
+@pytest.mark.parametrize("m,s", [(1, 0), (2, 2)])
+def test_shared_engine_arrays_are_read_only(m, s):
+    sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
+    eng, _ = levin._engine_for(sys, 24, s)
+    arrays = []
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                collect(item)
+        elif hasattr(value, "data"):   # BandedMatrix
+            arrays.append(value.data)
+        elif isinstance(value, BandedLU):
+            collect([value.factors, value.pivots])
+
+    for name, value in vars(eng).items():
+        if name != "system":
+            collect(value)
+    collect([eng.grid.points, eng.grid.sin2, eng.perm.perm])
+    assert len(arrays) > 10
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        eng.null_vectors[0, 0, 0] = 1.0
+    # the read-only factor still solves
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=24, s=s))
+    assert res.engine_reused and res.fallback_reason is None
+
+
+def test_threads_sharing_the_engine_slot_reproduce_serial():
+    # more threads than cores, switching often, over two alternating keys:
+    # every value must equal its cold serial solve
+    systems = [make_exponential([0.0, 1.0], 120.0), make_exponential([0.0, 1.0], 170.0)]
+    tasks = [(k % 2, shift) for k, shift in enumerate(np.linspace(-0.5, 0.5, 24))]
+
+    def solve(task):
+        which, shift = task
+        prob = LevinProblem(system=systems[which], amplitude=runge_shifted(shift), nu=64, s=1)
+        return quadrature(prob).value
+
+    serial = []
+    for task in tasks:
+        levin._forget_engine()
+        serial.append(solve(task))
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(solve, tasks, timeout=120))
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_problem_validation():
