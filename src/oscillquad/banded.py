@@ -2,7 +2,9 @@
 
 The banded factorization is LAPACK's gbtrf (partial pivoting, fill confined
 to a widened upper band); solves reuse the factorization through gbtrs so a
-matrix factored once can serve many right-hand sides.  An explicit pivot
+matrix factored once can serve many right-hand sides.  A real matrix is
+factored and solved in real arithmetic (dgbtrf/dgbtrs), a complex one in
+complex arithmetic (zgbtrf/zgbtrs).  An explicit pivot
 screen turns numerically singular systems into a loud error instead of a
 garbage solution, which is the signal the quadrature driver uses to fall
 back to the dense reference path.
@@ -61,14 +63,18 @@ class BandedLU:
 def banded_lu_factor(a: BandedMatrix) -> BandedLU:
     """Partial-pivoting LU of a banded matrix.
 
-    Raises :class:`SingularMatrixError` when a pivot falls below
-    ``PIVOT_RTOL`` times the matrix max-norm (or is exactly zero).
+    A real matrix gets float64 factors (dgbtrf), any other complex128
+    factors (zgbtrf).  Raises :class:`SingularMatrixError` when a pivot
+    falls below ``PIVOT_RTOL`` times the matrix max-norm (or is exactly
+    zero).
     """
     kl, ku, n = a.lower_bw, a.upper_bw, a.n
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.complex128, order="F")
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(a.data, np.float64),
+                  order="F")
     ab[kl:, :] = a.data
     scale = np.max(np.abs(a.data)) if a.data.size else 0.0
-    lu, ipiv, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    gbtrf, = lapack.get_lapack_funcs(("gbtrf",), (ab,))
+    lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to gbtrf")
     if info > 0:
@@ -83,20 +89,35 @@ def banded_lu_factor(a: BandedMatrix) -> BandedLU:
             f"(|pivot| = {diag[worst]:.3e}, scale = {scale:.3e})",
             worst,
         )
-    factors = BandedMatrix(n, kl, kl + ku, data=lu)
+    factors = BandedMatrix(n, kl, kl + ku, data=lu, dtype=lu.dtype)
     return BandedLU(factors=factors, pivots=ipiv, kl=kl, ku=ku)
 
 
 def banded_solve(lu: BandedLU, b, adjoint: bool = False) -> np.ndarray:
     """Solve A x = b (or A^H x = b) from a prior factorization.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  Against
+    complex factors the solve runs in complex128.  Against real factors a
+    real ``b`` is solved in float64, and a complex ``b`` of K columns as its
+    real and imaginary parts, in one real solve of 2K columns.
     """
-    b = np.asarray(b, dtype=np.complex128)
+    b = np.asarray(b)
     if b.shape[0] != lu.n:
         raise ValueError("right-hand side has wrong length")
-    x, info = lapack.zgbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots,
-                            trans=2 if adjoint else 0)
+    trans = 2 if adjoint else 0
+    if np.iscomplexobj(lu.factors.data) or not np.iscomplexobj(b):
+        dtype = np.result_type(lu.factors.data, b)
+        return _gbtrs(lu, b.astype(dtype, copy=False), trans)
+    cols = b.reshape(lu.n, -1)
+    k = cols.shape[1]
+    parts = _gbtrs(lu, np.hstack([cols.real, cols.imag]), trans)
+    return (parts[:, :k] + 1j * parts[:, k:]).reshape(b.shape)
+
+
+def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
+    """gbtrs in the factors' field; ``b`` must already be in it."""
+    gbtrs, = lapack.get_lapack_funcs(("gbtrs",), (lu.factors.data,))
+    x, info = gbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots, trans=trans)
     if info != 0:
         raise ValueError(f"gbtrs failed with info={info}")
     return x
@@ -138,7 +159,8 @@ def reorder_block_banded(blocks, perm: BlockPermutation) -> BandedMatrix:
     :class:`BandedMatrix` blocks.  Row M*l1 + a, column M*l2 + b of the
     result holds entry (l1, l2) of block (a, b), so the block bandwidths
     interleave into a single band of half-width at most
-    M * max_block_halfwidth + M - 1.
+    M * max_block_halfwidth + M - 1.  The result has the blocks' common
+    dtype.
     """
     m = perm.m
     if len(blocks) != m or any(len(row) != m for row in blocks):
@@ -154,7 +176,8 @@ def reorder_block_banded(blocks, perm: BlockPermutation) -> BandedMatrix:
     max_up = max(blk.upper_bw for row in blocks for blk in row)
     lo = m * max_lo + (m - 1)
     up = m * max_up + (m - 1)
-    out = BandedMatrix(m * nub, lo, up)
+    dtype = np.result_type(*(blk.data for row in blocks for blk in row))
+    out = BandedMatrix(m * nub, lo, up, dtype=dtype)
     for a in range(m):
         for b in range(m):
             blk = blocks[a][b]
@@ -172,15 +195,19 @@ def reorder_block_banded(blocks, perm: BlockPermutation) -> BandedMatrix:
 def dense_solve(a, b) -> np.ndarray:
     """Dense LU solve with partial pivoting for the small bordering systems.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.
+    ``b`` may be a vector or a matrix of right-hand-side columns.  The solve
+    runs in float64 when both ``a`` and ``b`` are real, else in complex128.
 
     The singularity screen runs on the column-equilibrated matrix: the
     bordering systems are legitimately column-scaled by many orders of
     magnitude once nu exceeds omega, which must pass, while genuinely
     dependent columns (the no-unique-solution regime) must fail loudly.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    dtype = np.result_type(a, b, np.float64)
+    a = a.astype(dtype, copy=False)
+    b = b.astype(dtype, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if a.shape[0] == 0:

@@ -276,14 +276,28 @@ def dct1_inverse(y, fast: bool = True) -> np.ndarray:
     return dct1_forward(y, fast=fast) * (2.0 / (y.shape[0] - 1))
 
 
+def real_if_zero_imag(a) -> np.ndarray:
+    """``a`` as float64 when no entry has a nonzero imaginary part, else as complex128.
+
+    The real part is taken only when the imaginary part is exactly zero, so
+    nothing is dropped.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c" and a.imag.any():
+        return a.astype(np.complex128, copy=False)
+    return a.real.astype(np.float64, copy=False)
+
+
 def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None,
                              fast: bool = True) -> np.ndarray:
     """Values at the grid of the Chebyshev series with coefficients ``alpha``.
 
     Computes C @ alpha with C[m, k] = T_k(c_m) = cos(m k pi/(nu+1)) via a
-    single DCT-I after doubling the first and last coefficients.
+    single DCT-I after doubling the first and last coefficients.  Real
+    coefficients (or complex ones with a zero imaginary part) take a real
+    DCT-I and give float64 values; others give complex128.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128)
+    alpha = real_if_zero_imag(alpha)
     if grid is not None and alpha.shape[0] != grid.n_points:
         raise ValueError(
             f"coefficient vector of length {alpha.shape[0]} does not match "
@@ -302,12 +316,8 @@ def apply_inverse_collocation(values, fast: bool = True) -> np.ndarray:
     part) take a real DCT-I, which gives the same numbers as the complex one
     at half the transforms.
     """
-    values = np.asarray(values)
-    if np.iscomplexobj(values) and values.imag.any():
-        values = values.astype(np.complex128, copy=False)
-    else:
-        values = values.real.astype(np.float64, copy=False)
-    z = dct1_inverse(values, fast=fast).astype(np.complex128, copy=False)
+    z = dct1_inverse(real_if_zero_imag(values), fast=fast)
+    z = z.astype(np.complex128, copy=False)
     z[0] *= 0.5
     z[-1] *= 0.5
     return z
@@ -320,9 +330,10 @@ def drop_endpoint_values(coeffs) -> np.ndarray:
     with its first and last entries zeroed, without either DCT: the dropped
     values are the series sums at x = +1 and x = -1, and C^-1 e_0,
     C^-1 e_{nu+1} are 1/(nu+1) and (-1)^n/(nu+1) with halved end entries.
-    Works along the last axis.
+    Works along the last axis, and keeps real coefficients real.
     """
-    a = np.asarray(coeffs, dtype=np.complex128)
+    a = np.asarray(coeffs)
+    a = a.astype(np.result_type(a, np.float64), copy=False)
     n = a.shape[-1]
     signs = (-1.0) ** np.arange(n)
     u0 = np.full(n, 1.0 / (n - 1))
@@ -456,8 +467,10 @@ class BandedMatrix:
         return out
 
     def scaled(self, c) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.lower_bw, self.upper_bw,
-                            data=self.data * c, dtype=np.complex128)
+        """``c`` times this matrix, in the field of the entries and ``c``."""
+        data = self.data * c
+        return BandedMatrix(self.n, self.lower_bw, self.upper_bw, data=data,
+                            dtype=data.dtype)
 
     def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
         """Banded product; bandwidths add."""
@@ -466,17 +479,20 @@ class BandedMatrix:
         n = self.n
         lo = self.lower_bw + other.lower_bw
         up = self.upper_bw + other.upper_bw
-        out = BandedMatrix(n, lo, up,
-                           dtype=np.result_type(self.data.dtype, other.data.dtype))
+        dtype = np.result_type(self.data.dtype, other.data.dtype)
+        out = BandedMatrix(n, lo, up, dtype=dtype)
+        # One cast up front, not one per diagonal product.
+        a_data = self.data.astype(dtype, copy=False)
+        b_data = other.data.astype(dtype, copy=False)
         for a in range(-self.upper_bw, self.lower_bw + 1):
-            arow = self.data[self.upper_bw + a]
+            arow = a_data[self.upper_bw + a]
             for b in range(-other.upper_bw, other.lower_bw + 1):
                 d = a + b
                 j0 = max(0, -b, -d)
                 j1 = min(n, n - b, n - d)
                 if j0 >= j1:
                     continue
-                out.data[up + d, j0:j1] += arow[j0 + b : j1 + b] * other.data[other.upper_bw + b, j0:j1]
+                out.data[up + d, j0:j1] += arow[j0 + b : j1 + b] * b_data[other.upper_bw + b, j0:j1]
         return out
 
 
@@ -492,7 +508,7 @@ def mult_x_operator(n_rows: int) -> BandedMatrix:
     """
     if n_rows < 2:
         raise ValueError("need at least 2 rows")
-    m = BandedMatrix(n_rows, 1, 1)
+    m = BandedMatrix(n_rows, 1, 1, dtype=np.float64)
     m.data[0, 1:] = 0.5
     m.data[2, : n_rows - 1] = 0.5
     m.data[2, 0] = 1.0
@@ -503,7 +519,7 @@ def weighted_diff_operator(n_rows: int) -> BandedMatrix:
     """Matrix of (1 - x^2) d/dx on {T_n}: column n has n/2 at row n-1, -n/2 at row n+1."""
     if n_rows < 2:
         raise ValueError("need at least 2 rows")
-    d = BandedMatrix(n_rows, 1, 1)
+    d = BandedMatrix(n_rows, 1, 1, dtype=np.float64)
     cols = np.arange(n_rows, dtype=np.float64)
     d.data[0, 1:] = cols[1:] / 2.0
     d.data[2, : n_rows - 1] = -cols[: n_rows - 1] / 2.0
@@ -511,12 +527,16 @@ def weighted_diff_operator(n_rows: int) -> BandedMatrix:
 
 
 def polynomial_of_mult_x(p: Polynomial, n_rows: int) -> BandedMatrix:
-    """p(M) where M is the multiplication-by-x matrix, by Horner composition."""
+    """p(M) where M is the multiplication-by-x matrix, by Horner composition.
+
+    Real coefficients give a float64 matrix, others a complex128 one.
+    """
     if p.is_zero:
-        return BandedMatrix(n_rows, 0, 0)
+        return BandedMatrix(n_rows, 0, 0, dtype=np.float64)
+    coeffs = real_if_zero_imag(p.coeffs)
     m = mult_x_operator(n_rows)
-    acc = BandedMatrix.identity(n_rows).scaled(p.coeffs[-1])
-    for c in p.coeffs[-2::-1]:
+    acc = BandedMatrix.identity(n_rows, dtype=coeffs.dtype).scaled(coeffs[-1])
+    for c in coeffs[-2::-1]:
         acc = acc.matmul(m)
         acc.data[acc.upper_bw, :] += c
     return acc
@@ -531,7 +551,8 @@ def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,
     and D the matrix of (1 - x^2) d/dx.  Column n of the result holds the
     Chebyshev coefficients of the operator applied to T_n; columns within
     ``n_rows`` minus the bandwidth growth are exact truncations of the
-    infinite operator.
+    infinite operator.  The matrix is float64 when both polynomials have
+    real coefficients, complex128 otherwise.
     """
     if not isinstance(p_diff, Polynomial):
         p_diff = Polynomial(p_diff)
@@ -594,10 +615,11 @@ def fold_chebyshev_tail(coeffs, nu: int) -> np.ndarray:
 
     Index k maps to its reflection into [0, nu+1] under the dihedral
     aliasing of cos(m k pi/(nu+1)) in k (period 2(nu+1), even symmetry),
-    so the returned series takes the same values on the grid.
+    so the returned series takes the same values on the grid.  Real
+    coefficients stay real.
     """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    out = np.zeros(c.shape[:-1] + (nu + 2,), dtype=np.complex128)
+    c = np.asarray(coeffs)
+    out = np.zeros(c.shape[:-1] + (nu + 2,), dtype=np.result_type(c, np.float64))
     period = 2 * (nu + 1)
     k = np.arange(c.shape[-1]) % period
     k = np.where(k > nu + 1, period - k, k)

@@ -23,12 +23,22 @@ On a miss the old engine is dropped before the new one is built, so two
 never live at once.  Repeated amplitudes on one system pay the build
 once; a stream of distinct systems pays it every call, as without reuse.
 
+The engine works in the field of its system: float64 when r and every
+r G entry have real coefficients (the Bessel family, and real custom
+systems), complex128 otherwise (an exponential phase makes r G = i omega
+g' imaginary).  A real system's operator, banded LU, null vectors and
+border are then real, and a real amplitude is solved and checked in real
+arithmetic, which does the same work on half the data; a complex
+amplitude on a real engine is solved as its real and imaginary parts.
+Results carry complex128 coefficients either way.
+
 All solver entry points are pure functions of their problem; a shared
 engine is read-only and results are immutable once returned.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -57,12 +67,22 @@ from .chebyshev import (
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
+    real_if_zero_imag,
 )
 from .oscillator import AmplitudeSpec, OscillatorSystem
 
 
+#: Fallbacks are logged here; silent until the application configures logging.
+_log = logging.getLogger("oscillquad")
+_log.addHandler(logging.NullHandler())
+
+
 class UnsolvableProblemError(RuntimeError):
     """Both the fast path and the dense reference path failed."""
+
+
+class NonFiniteAmplitudeError(ValueError):
+    """An amplitude sample on the collocation grid is NaN or infinite."""
 
 
 #: Solves whose scaled residual exceeds this factor times omega * max|f|
@@ -136,6 +156,7 @@ class CollocationEngine:
         self.s = s
         self.m = m
         self.grid = clenshaw_curtis_points(nu)
+        self.r_vals = real_if_zero_imag(system.r(self.grid.points))
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range.
         p_diff = ONE_MINUS_X2 * system.r
@@ -162,6 +183,9 @@ class CollocationEngine:
         mids = [[blk.principal_submatrix(1, nu + 1) for blk in row] for row in self.folded]
         self.perm = hockney_permutation(m, nu)
         self.reordered = reorder_block_banded(mids, self.perm)
+        # The field of the operator: float64 exactly when r and every r G
+        # entry have real coefficients.
+        self.dtype = self.reordered.data.dtype
         self.lu = banded_lu_factor(self.reordered)
 
         # Unscaled collocation rows at the endpoints over the whole basis
@@ -173,11 +197,11 @@ class CollocationEngine:
         ns = np.arange(n_all, dtype=np.float64)
         signs = (-1.0) ** ns
         diag = np.eye(m)[:, :, None]
-        gt_p = np.array([[complex(system.r_g[j][i](1.0)) for j in range(m)] for i in range(m)])
-        gt_m = np.array([[complex(system.r_g[j][i](-1.0)) for j in range(m)] for i in range(m)])
-        self.rows_plus = complex(system.r(1.0)) * diag * (ns * ns) + gt_p[:, :, None]
-        self.rows_minus = (complex(system.r(-1.0)) * diag * (-(ns * ns) * signs)
-                           + gt_m[:, :, None] * signs)
+        ends = np.array([1.0, -1.0])
+        gt = real_if_zero_imag([[system.r_g[j][i](ends) for j in range(m)] for i in range(m)])
+        rp, rm = self.r_vals[[0, -1]]
+        self.rows_plus = rp * diag * (ns * ns) + gt[:, :, 0, None]
+        self.rows_minus = rm * diag * (-(ns * ns) * signs) + gt[:, :, 1, None] * signs
 
         # One multi-column banded solve serves the null vectors of the
         # projected system (v = e_{k,end} + interior part, against the
@@ -189,7 +213,7 @@ class CollocationEngine:
         rhs_cols = np.array([[self.folded[i][k].column(end) for i in range(m)]
                              for k, end in ends])
         tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
-        self.tail_ops = np.zeros((0, m, n_head), dtype=np.complex128)
+        self.tail_ops = np.zeros((0, m, n_head), dtype=self.dtype)
         if tail:
             self.tail_ops = fold_chebyshev_tail(np.array(
                 [[blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
@@ -202,7 +226,7 @@ class CollocationEngine:
 
         # Bordering matrix: the 2M unscaled endpoint rows applied to the
         # 2M null vectors.
-        self.border = np.empty((2 * m, 2 * m), dtype=np.complex128)
+        self.border = np.empty((2 * m, 2 * m), dtype=self.dtype)
         self.border[0::2] = _apply_rows(self.rows_plus[..., :n_head], self.null_vectors).T
         self.border[1::2] = _apply_rows(self.rows_minus[..., :n_head], self.null_vectors).T
         if s == 0:
@@ -226,17 +250,22 @@ class CollocationEngine:
                      for i in range(m)]
         t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
                   for sign in (+1, -1)]
-        self.tail_rows = np.zeros((len(tail), m, n_all), dtype=np.complex128)
+        self.tail_rows = np.zeros((len(tail), m, n_all), dtype=self.dtype)
         for row, (i, l, e) in enumerate(_tail_conditions(m, s)):
             for p in range(l + 1):
                 c = math.comb(l, p)
                 self.tail_rows[row, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
                 for j in range(m):
                     self.tail_rows[row, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
-        self.tail_matrix = (
+        tail_matrix = (
             _apply_rows(self.tail_rows[..., :n_head], self.tail_heads).T
             + self.tail_rows[..., n_head:].reshape(len(tail), len(tail))
         )
+        # The rows for derivative orders l and l + 1 differ in scale by
+        # about nu^2, and dense_solve equilibrates columns only: divide each
+        # row (and, per call, its right-hand side) by its largest entry.
+        self.tail_row_scale = np.max(np.abs(tail_matrix), axis=1)
+        self.tail_matrix = tail_matrix / self.tail_row_scale[:, None]
 
     # -- cleared solves ------------------------------------------------------
 
@@ -248,7 +277,7 @@ class CollocationEngine:
         m, nu = self.m, self.nu
         k = z_mid.shape[0]
         x = banded_solve(self.lu, z_mid.reshape(k, m * nu).T[self.perm.perm])
-        heads = np.zeros((k, m, nu + 2), dtype=np.complex128)
+        heads = np.zeros((k, m, nu + 2), dtype=x.dtype)
         heads[:, :, 1 : nu + 1] = x[self.perm.inverse].T.reshape(k, m, nu)
         return heads
 
@@ -258,7 +287,8 @@ class CollocationEngine:
         that meets the 2M endpoint rows with values ``rhs_plus``, ``rhs_minus``
         (K, M)."""
         n_head = self.nu + 2
-        rhs = np.empty((2 * self.m, heads.shape[0]), dtype=np.complex128)
+        rhs = np.empty((2 * self.m, heads.shape[0]),
+                       dtype=np.result_type(heads, rhs_plus, rhs_minus))
         rhs[0::2] = (rhs_plus - _apply_rows(self.rows_plus[..., :n_head], heads)).T
         rhs[1::2] = (rhs_minus - _apply_rows(self.rows_minus[..., :n_head], heads)).T
         delta = dense_solve(self.border, rhs)
@@ -270,14 +300,16 @@ class CollocationEngine:
 
         ``rhs_scaled_mid[i, m]`` holds (1 - c_m^2) b_i(c_m) at the interior
         points m = 1..nu; ``rhs_plus`` / ``rhs_minus`` the unscaled values
-        b_i(+-1).  Returns coefficients of shape (M, nu+2).
+        b_i(+-1).  Returns coefficients of shape (M, nu+2), real when the
+        engine and the right-hand side are both real.
         """
         m, nu = self.m, self.nu
-        z_mid = np.empty((1, m, nu), dtype=np.complex128)
-        full = np.zeros(nu + 2, dtype=np.complex128)
+        z_mid = np.empty((1, m, nu), dtype=np.result_type(self.dtype, rhs_scaled_mid))
+        full = np.zeros(nu + 2, dtype=rhs_scaled_mid.dtype)
         for i in range(m):
             full[1 : nu + 1] = rhs_scaled_mid[i]
-            z_mid[0, i] = apply_inverse_collocation(full)[1 : nu + 1]
+            z = apply_inverse_collocation(full)[1 : nu + 1]
+            z_mid[0, i] = z if np.iscomplexobj(full) else z.real
         heads = self._solve_interior(z_mid)
         return self._meet_endpoint_rows(heads, rhs_plus[None], rhs_minus[None])[0]
 
@@ -296,10 +328,9 @@ class CollocationEngine:
         grid = self.grid
         head = coeffs[:, : nu + 2]
         tail_flat = coeffs[:, nu + 2 :].reshape(-1)
-        r_vals = self.system.r(grid.points)
+        r_vals = self.r_vals
         scaled_target = grid.sin2 * r_vals * f_values
-        rp = complex(self.system.r(1.0))
-        rm = complex(self.system.r(-1.0))
+        rp, rm = r_vals[0], r_vals[-1]
         resid = 0.0
         for i in range(m):
             acc = tail_flat @ self.tail_ops[:, i]
@@ -379,14 +410,14 @@ def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """d^p/dx^p at +1 and -1 for p = 0..l_max, by repeated differentiation."""
-    plus = np.empty(l_max + 1, dtype=np.complex128)
-    minus = np.empty(l_max + 1, dtype=np.complex128)
+    """d^p/dx^p at +1 and -1 for p = 0..l_max, by repeated differentiation;
+    real when ``p`` is."""
+    values = np.empty((2, l_max + 1), dtype=np.complex128)
     q = p
     for l in range(l_max + 1):
-        plus[l] = q(1.0)
-        minus[l] = q(-1.0)
+        values[:, l] = q(np.array([1.0, -1.0]))
         q = q.deriv()
+    plus, minus = real_if_zero_imag(values)
     return plus, minus
 
 
@@ -397,12 +428,13 @@ def _tail_conditions(m: int, s: int):
 
 def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
                            f_values: np.ndarray) -> np.ndarray:
-    """d^l [r f_i] at the endpoints, by Leibniz on exact r derivatives."""
+    """d^l [r f_i] at the endpoints, by Leibniz on exact r derivatives;
+    real when they all are."""
     f_ders = [
         [f_values[:, 0]] + [amplitude.derivative(q, +1) for q in range(1, eng.s + 1)],
         [f_values[:, -1]] + [amplitude.derivative(q, -1) for q in range(1, eng.s + 1)],
     ]
-    return np.array([
+    return real_if_zero_imag([
         sum(math.comb(l, p) * eng.r_derivs[e][p] * f_ders[e][l - p][i] for p in range(l + 1))
         for i, l, e in _tail_conditions(eng.m, eng.s)
     ])
@@ -418,7 +450,13 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     grid = eng.grid
 
     f_values = problem.amplitude.values(grid.points)
-    r_vals = problem.system.r(grid.points)
+    finite = np.isfinite(f_values)
+    if not finite.all():
+        i, m = np.argwhere(~finite)[0]
+        raise NonFiniteAmplitudeError(
+            f"amplitude component {i} is {f_values[i, m]} at x = {grid.points[m]!r}")
+    f_values = real_if_zero_imag(f_values)
+    r_vals = eng.r_vals
     rhs_scaled_mid = (grid.sin2 * r_vals * f_values)[:, 1:-1]
     rhs_plus = r_vals[0] * f_values[:, 0]
     rhs_minus = r_vals[-1] * f_values[:, -1]
@@ -427,7 +465,7 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     if eng.s >= 1:
         rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
                - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
-        tail_flat = dense_solve(eng.tail_matrix, rhs)
+        tail_flat = dense_solve(eng.tail_matrix, rhs / eng.tail_row_scale)
         coeffs = np.concatenate(
             [coeffs + np.tensordot(tail_flat, eng.tail_heads, axes=1),
              tail_flat.reshape(eng.m, 2 * eng.s)],
@@ -437,7 +475,9 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     value = _boundary_value(problem.system, coeffs)
     resid = eng.residual(coeffs, f_values)
     f_scale = float(np.max(np.abs(f_values)))
-    flagged = resid > RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
+    # A NaN residual is flagged too.
+    flagged = not resid <= RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
+    coeffs = coeffs.astype(np.complex128, copy=False)
     coeffs.setflags(write=False)
     return QuadratureResult(
         value=value,
@@ -493,7 +533,10 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
     omega is too small for the projected system to be trustworthy); any of
     these triggers one dense reference solve, recorded as path
     ``dense_fallback``.  If neither path produces an acceptable solution
-    the problem is reported unsolvable.
+    the problem is reported unsolvable.  Leaving the fast path is logged,
+    with its reason, on the ``oscillquad`` logger: at INFO level for a
+    dense fallback, at WARNING level when the flagged fast result is
+    returned.
     """
     if problem.system.dim == 1:
         path = "scalar_s0" if problem.s == 0 else "scalar_s"
@@ -515,11 +558,13 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
         if fast_result is not None:
             # Dense is unavailable (singular or over the size guard);
             # the flagged fast result is the best we have.
-            return replace(fast_result, fallback_reason=(
-                f"{reason}; dense path failed: {type(exc).__name__}: {exc}"))
+            reason = f"{reason}; dense path failed: {type(exc).__name__}: {exc}"
+            _log.warning("%s result returned flagged: %s", path, reason)
+            return replace(fast_result, fallback_reason=reason)
         raise UnsolvableProblemError(
             f"both the fast path ({reason}) and the dense path failed"
         ) from exc
+    _log.info("%s fell back to dense_fallback: %s", path, reason)
     return replace(result, path="dense_fallback", fallback_reason=reason)
 
 

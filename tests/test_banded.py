@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillquad.banded import (
     SingularMatrixError,
@@ -129,6 +131,37 @@ def test_solve_residual_within_condition_bound():
     assert np.max(np.abs(dense @ x - b)) <= kappa * 1e-13 * np.max(np.abs(b))
 
 
+@st.composite
+def real_banded_system(draw):
+    """A well-conditioned real banded matrix and a right-hand side for it."""
+    n = draw(st.integers(1, 40))
+    kl = draw(st.integers(0, 5))
+    ku = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = random_banded(n, kl, ku, rng, diag_boost=2.0 * (kl + ku + 1), dtype=float)
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    b = rng.normal(size=shape)
+    if draw(st.booleans()):
+        b = b + 1j * rng.normal(size=shape)
+    return BandedMatrix.from_dense(dense, kl, ku), b, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_banded_system())
+def test_real_factors_solve_like_the_complex_cast(case):
+    # real factors (dgbtrf) solve real, complex, 1-D and multi-column
+    # right-hand sides, also adjoint, as the complex128 matrix does
+    a, b, adjoint = case
+    lu = banded_lu_factor(a)
+    assert lu.factors.data.dtype == np.float64
+    as_complex = BandedMatrix(a.n, a.lower_bw, a.upper_bw, data=a.data, dtype=np.complex128)
+    want = banded_solve(banded_lu_factor(as_complex), b, adjoint=adjoint)
+    got = banded_solve(lu, b, adjoint=adjoint)
+    assert got.shape == b.shape
+    assert got.dtype == (np.complex128 if np.iscomplexobj(b) else np.float64)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_factor_cost_scaling():
     # O(n bw^2) factorization: log-log slope over n = 2^10..2^16 stays <= 1.2
     rng = np.random.default_rng(1)
@@ -184,6 +217,14 @@ def test_reorder_single_block_unchanged():
     blk = BandedMatrix.from_dense(dense, 1, 1)
     out = reorder_block_banded([[blk]], hockney_permutation(1, 6))
     assert np.allclose(out.to_dense(), dense)
+
+
+def test_reorder_keeps_the_blocks_dtype():
+    real = BandedMatrix.identity(4, dtype=np.float64)
+    cplx = BandedMatrix.identity(4)
+    perm = hockney_permutation(2, 4)
+    assert reorder_block_banded([[real, real], [real, real]], perm).data.dtype == np.float64
+    assert reorder_block_banded([[real, cplx], [real, real]], perm).data.dtype == np.complex128
 
 
 def test_reorder_diagonal_blocks_interleave_tridiagonal():

@@ -4,6 +4,7 @@ reference path."""
 
 from __future__ import annotations
 
+import logging
 import math
 import sys as sys_module
 import weakref
@@ -31,6 +32,7 @@ from oscillquad.chebyshev import (
 from oscillquad.levin import (
     CollocationEngine,
     LevinProblem,
+    NonFiniteAmplitudeError,
     null_vectors_scalar,
     quadrature,
     solve_block_s,
@@ -53,6 +55,9 @@ from conftest import fit_loglog_slope, runge_amplitude
 # these through the gated oracle).
 I1_OMEGA100 = 8.170542331039445e-18 - 0.016807550260569525j
 I2_OMEGA100 = 0.00012616323754927888 + 0.0j
+# I2 at omega = 1000 (gamma 1, a 2): the 10^6- and 2*10^6-point oracles
+# agree to 6e-13 relative.
+I2_OMEGA1000 = -1.66687430457798e-05 + 0.0j
 
 
 def zero_component(x):
@@ -315,6 +320,16 @@ def test_block_s1_decay_steeper_than_s0():
     assert s1 <= s0 - 0.5, (s0, s1)
 
 
+def test_block_s2_at_nu_32768_stays_on_the_fast_path():
+    # the tail rows for l = 1 and l = 2 differ in scale by about nu^2; the
+    # tail system is row-scaled, so the banded answer is accepted (the
+    # dense fallback at this nu would need tens of GiB)
+    sys = make_bessel(1, 2.0, 1000.0)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=32768, s=2))
+    assert res.path == "block_s" and res.fallback_reason is None
+    assert abs(res.value - I2_OMEGA1000) <= 1e-5 * abs(I2_OMEGA1000)
+
+
 def test_block_s_zero_amplitude():
     sys = make_bessel(1, 2.0, 100.0)
     res = solve_block_s(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=8, s=1))
@@ -341,6 +356,42 @@ def test_engine_tail_columns_match_one_cleared_solve_each(m, s):
         want = eng.solve_cleared(-vals[:, 1:-1], -eng.rows_plus[:, k, n],
                                  -eng.rows_minus[:, k, n])
         assert np.max(np.abs(eng.tail_heads[c] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("s", [0, 2])
+def test_engine_works_in_the_field_of_the_system(s):
+    # Bessel: r and every r G entry are real, so the engine is float64;
+    # an exponential phase makes r G imaginary, so the engine is complex128
+    for sys, dtype in ((make_bessel(1, 2.0, 100.0), np.float64),
+                       (make_exponential([0.0, 1.0], 100.0), np.complex128)):
+        eng = CollocationEngine(sys, 32, s)
+        assert eng.lu.factors.data.dtype == dtype
+        assert eng.reordered.data.dtype == dtype
+        for name in ("null_vectors", "border", "rows_plus", "tail_ops"):
+            assert getattr(eng, name).dtype == dtype, name
+        if s:
+            assert eng.tail_matrix.dtype == dtype
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_coeffs_are_complex128_for_real_and_complex_systems(s):
+    for sys, dim in ((make_bessel(1, 2.0, 100.0), 2), (make_exponential([0.0, 1.0], 100.0), 1)):
+        res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(dim), nu=32, s=s))
+        assert res.fallback_reason is None
+        assert res.coeffs.dtype == np.complex128
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_complex_amplitude_on_a_real_system(s):
+    # a real engine solves a complex right-hand side as its real and
+    # imaginary parts; the value is linear in f, to rounding in max|f| (3.54)
+    sys = make_bessel(1, 2.0, 100.0)
+    c = 1.0 - 2.5j
+    scaled = rational_amplitude(Polynomial([0.0, c]), Polynomial([0.02, 0.0, 1.0]), 2)
+    got = quadrature(LevinProblem(system=sys, amplitude=scaled, nu=64, s=s))
+    want = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=64, s=s))
+    assert got.path == want.path == ("block_s0" if s == 0 else "block_s")
+    assert abs(got.value - c * want.value) <= 2e-13 * abs(c) * 3.54
 
 
 def test_engine_null_vectors_are_annihilated_on_the_interior():
@@ -549,6 +600,51 @@ def test_fallback_reason_keeps_dense_failure_when_fast_result_returned():
     assert res.path == "scalar_s0" and res.flagged
     assert res.fallback_reason.startswith("flagged residual ")
     assert "dense path failed: SingularMatrixError" in res.fallback_reason
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make_sys,dim", [(lambda: make_exponential([0.0, 1.0], 100.0), 1),
+                                          (lambda: make_bessel(1, 2.0, 100.0), 2)])
+def test_non_finite_amplitude_samples_are_rejected(bad, make_sys, dim, monkeypatch):
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(np.abs(x - 0.3) < 0.05, bad, 1.0).astype(np.complex128)
+
+    transforms = []
+    monkeypatch.setattr(levin, "apply_inverse_collocation",
+                        lambda *a, **k: transforms.append(1))
+    amp = AmplitudeSpec(components=(f,) + (zero_component,) * (dim - 1))
+    with pytest.raises(NonFiniteAmplitudeError, match="amplitude component 0 is"):
+        quadrature(LevinProblem(system=make_sys(), amplitude=amp, nu=32))
+    assert issubclass(NonFiniteAmplitudeError, ValueError)
+    assert transforms == []
+
+
+def test_nan_residual_is_flagged(monkeypatch):
+    monkeypatch.setattr(CollocationEngine, "residual", lambda self, c, f: float("nan"))
+    prob = LevinProblem(system=make_exponential([0.0, 1.0], 100.0),
+                        amplitude=runge_amplitude(1), nu=16)
+    assert levin._solve_fast(prob, "scalar_s0").flagged
+    res = quadrature(prob)
+    assert res.path == "dense_fallback" and res.fallback_reason == "flagged residual nan"
+
+
+def test_fallbacks_are_logged(caplog):
+    caplog.set_level(logging.INFO, logger="oscillquad")
+    sys = make_exponential([0.0, 1.0], 100.0)
+    quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=16))
+    assert caplog.records == []     # the fast path logs nothing
+    res = quadrature(LevinProblem(system=make_exponential([0.0, 0.0, 0.0, 1.0], 100.0),
+                                  amplitude=runge_amplitude(1), nu=2))
+    (record,) = caplog.records
+    assert record.name == "oscillquad" and record.levelno == logging.INFO
+    assert record.getMessage() == f"scalar_s0 fell back to dense_fallback: {res.fallback_reason}"
+    caplog.clear()
+    res = quadrature(LevinProblem(system=make_exponential([0.0, 1.0], 1e-12),
+                                  amplitude=runge_amplitude(1), nu=64))
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == f"scalar_s0 result returned flagged: {res.fallback_reason}"
 
 
 def test_minimal_even_grid():
