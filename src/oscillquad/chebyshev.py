@@ -312,12 +312,11 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None,
 def apply_inverse_collocation(values, fast: bool = True) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through grid values (C^-1 @ values).
 
-    Returns complex128.  Real values (or complex ones with a zero imaginary
-    part) take a real DCT-I, which gives the same numbers as the complex one
-    at half the transforms.
+    Real values (or complex ones with a zero imaginary part) take a real
+    DCT-I and give float64 coefficients, the same numbers as the complex
+    transform at half the work; others give complex128.
     """
     z = dct1_inverse(real_if_zero_imag(values), fast=fast)
-    z = z.astype(np.complex128, copy=False)
     z[0] *= 0.5
     z[-1] *= 0.5
     return z

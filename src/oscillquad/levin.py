@@ -156,7 +156,13 @@ class CollocationEngine:
         self.s = s
         self.m = m
         self.grid = clenshaw_curtis_points(nu)
-        self.r_vals = real_if_zero_imag(system.r(self.grid.points))
+        # The field of the system, decided here once: float64 exactly when r
+        # and every r G entry have real coefficients, complex128 otherwise.
+        # The operator blocks below come out in the same field.
+        polys = [system.r] + [p for row in system.r_g for p in row]
+        self.dtype = np.dtype(
+            np.complex128 if any(p.coeffs.imag.any() for p in polys) else np.float64)
+        self.r_vals = self._in_field(system.r(self.grid.points))
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range.
         p_diff = ONE_MINUS_X2 * system.r
@@ -183,9 +189,6 @@ class CollocationEngine:
         mids = [[blk.principal_submatrix(1, nu + 1) for blk in row] for row in self.folded]
         self.perm = hockney_permutation(m, nu)
         self.reordered = reorder_block_banded(mids, self.perm)
-        # The field of the operator: float64 exactly when r and every r G
-        # entry have real coefficients.
-        self.dtype = self.reordered.data.dtype
         self.lu = banded_lu_factor(self.reordered)
 
         # Unscaled collocation rows at the endpoints over the whole basis
@@ -198,7 +201,7 @@ class CollocationEngine:
         signs = (-1.0) ** ns
         diag = np.eye(m)[:, :, None]
         ends = np.array([1.0, -1.0])
-        gt = real_if_zero_imag([[system.r_g[j][i](ends) for j in range(m)] for i in range(m)])
+        gt = self._in_field([[system.r_g[j][i](ends) for j in range(m)] for i in range(m)])
         rp, rm = self.r_vals[[0, -1]]
         self.rows_plus = rp * diag * (ns * ns) + gt[:, :, 0, None]
         self.rows_minus = rm * diag * (-(ns * ns) * signs) + gt[:, :, 1, None] * signs
@@ -245,9 +248,9 @@ class CollocationEngine:
         # rows over the whole basis, in (i, l, sign) order; applied to
         # head + sum_c t_c (tail_heads[c] + tail element c) they give the
         # 2Ms x 2Ms tail system.
-        self.r_derivs = _poly_endpoint_derivs(system.r, s)
-        gt_derivs = [[_poly_endpoint_derivs(system.r_g[j][i], s) for j in range(m)]
-                     for i in range(m)]
+        self.r_derivs = self._in_field(_poly_endpoint_derivs(system.r, s))
+        gt_derivs = self._in_field([[_poly_endpoint_derivs(system.r_g[j][i], s)
+                                     for j in range(m)] for i in range(m)])
         t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
                   for sign in (+1, -1)]
         self.tail_rows = np.zeros((len(tail), m, n_all), dtype=self.dtype)
@@ -257,15 +260,18 @@ class CollocationEngine:
                 self.tail_rows[row, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
                 for j in range(m):
                     self.tail_rows[row, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
-        tail_matrix = (
+        self.tail_matrix = (
             _apply_rows(self.tail_rows[..., :n_head], self.tail_heads).T
             + self.tail_rows[..., n_head:].reshape(len(tail), len(tail))
         )
-        # The rows for derivative orders l and l + 1 differ in scale by
-        # about nu^2, and dense_solve equilibrates columns only: divide each
-        # row (and, per call, its right-hand side) by its largest entry.
-        self.tail_row_scale = np.max(np.abs(tail_matrix), axis=1)
-        self.tail_matrix = tail_matrix / self.tail_row_scale[:, None]
+
+    def _in_field(self, values) -> np.ndarray:
+        """Values of this system's polynomials in the engine's field; a real
+        system's values have exactly zero imaginary parts."""
+        values = np.asarray(values)
+        if self.dtype == np.float64:
+            return np.ascontiguousarray(values.real)
+        return values.astype(np.complex128, copy=False)
 
     # -- cleared solves ------------------------------------------------------
 
@@ -308,8 +314,7 @@ class CollocationEngine:
         full = np.zeros(nu + 2, dtype=rhs_scaled_mid.dtype)
         for i in range(m):
             full[1 : nu + 1] = rhs_scaled_mid[i]
-            z = apply_inverse_collocation(full)[1 : nu + 1]
-            z_mid[0, i] = z if np.iscomplexobj(full) else z.real
+            z_mid[0, i] = apply_inverse_collocation(full)[1 : nu + 1]
         heads = self._solve_interior(z_mid)
         return self._meet_endpoint_rows(heads, rhs_plus[None], rhs_minus[None])[0]
 
@@ -409,16 +414,15 @@ def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
 # Endpoint-derivative (tail) conditions for s >= 1
 # ---------------------------------------------------------------------------
 
-def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """d^p/dx^p at +1 and -1 for p = 0..l_max, by repeated differentiation;
-    real when ``p`` is."""
+def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> np.ndarray:
+    """d^p/dx^p at +1 (row 0) and -1 (row 1) for p = 0..l_max, by repeated
+    differentiation."""
     values = np.empty((2, l_max + 1), dtype=np.complex128)
     q = p
     for l in range(l_max + 1):
         values[:, l] = q(np.array([1.0, -1.0]))
         q = q.deriv()
-    plus, minus = real_if_zero_imag(values)
-    return plus, minus
+    return values
 
 
 def _tail_conditions(m: int, s: int):
@@ -465,7 +469,7 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     if eng.s >= 1:
         rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
                - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
-        tail_flat = dense_solve(eng.tail_matrix, rhs / eng.tail_row_scale)
+        tail_flat = dense_solve(eng.tail_matrix, rhs)
         coeffs = np.concatenate(
             [coeffs + np.tensordot(tail_flat, eng.tail_heads, axes=1),
              tail_flat.reshape(eng.m, 2 * eng.s)],
