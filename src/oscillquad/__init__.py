@@ -1,39 +1,18 @@
-"""Fast Levin-Clenshaw-Curtis quadrature for highly oscillatory integrals."""
+"""Fast Levin-Clenshaw-Curtis quadrature for highly oscillatory integrals.
 
-from .chebyshev import (
-    BandedMatrix,
-    ClenshawCurtisGrid,
-    Polynomial,
-    RationalFunction,
-    UnsupportedRegimeError,
-    apply_collocation_matrix,
-    apply_inverse_collocation,
-    build_banded_operator,
-    cheb_endpoint_derivative,
-    cheb_eval,
-    clenshaw_curtis_points,
-    dct1_forward,
-    dct1_inverse,
-    fold_operator,
-    mult_x_operator,
-    weighted_diff_operator,
-)
-from .banded import (
-    BandedLU,
-    BlockPermutation,
-    SingularMatrixError,
-    banded_lu_factor,
-    banded_solve,
-    dense_solve,
-    hockney_permutation,
-    reorder_block_banded,
-)
+The package namespace holds the public API: problem and result types,
+system and amplitude builders, ``quadrature`` and its four tiers, the
+error types, and the dense reference solver and oracle.  The numerical
+internals live in their modules (``chebyshev``, ``banded``, ``levin``).
+"""
+
+from .chebyshev import Polynomial, UnsupportedRegimeError
+from .banded import SingularMatrixError
 from .oscillator import (
     AmplitudeSpec,
     OscillatorSystem,
     PoleInIntervalError,
     StationaryPointError,
-    bessel_eval,
     make_bessel,
     make_exponential,
     parse_oscillator_config,
@@ -42,13 +21,12 @@ from .oscillator import (
 )
 from .levin import (
     LevinProblem,
+    NonFiniteAmplitudeError,
     QuadratureResult,
     UnsolvableProblemError,
-    null_vectors_scalar,
     quadrature,
     solve_block_s,
     solve_block_s0,
-    solve_interior_scalar,
     solve_scalar_s,
     solve_scalar_s0,
 )

@@ -1,8 +1,16 @@
 """Chebyshev-basis infrastructure.
 
 Clenshaw-Curtis grids, Chebyshev series evaluation, endpoint derivatives,
-DCT-I transforms, and banded matrix representations of the operators
-``x *`` and ``(1 - x^2) d/dx`` acting on the basis {T_0, T_1, ...}.
+DCT-I transforms, and banded matrices of the operators
+``p_diff(x) d/dx + p_mult(x)`` acting on the basis {T_0, T_1, ...}.
+
+A band is written in closed form from Chebyshev coefficients.
+Multiplication by p = sum_k a_k T_k is the symmetric stencil h[0] = a_0,
+h[+-k] = a_k / 2, and (1 - x^2) T_n' = (n/2) (T_{n-1} - T_{n+1}).  Indices
+that leave [0, nu+1] are brought back by one aliasing rule, the reflection
+with period 2(nu+1): k < 0 goes to -k (T_{-k} = T_k, the Hankel part of
+the multiplication operator) and nu+1+l goes to nu+1-l (T_{nu+1+l} =
+T_{nu+1-l} at the grid points, the fold that closes the system).
 
 Everything here is pure: no global state, all returned objects are meant
 to be treated as immutable.
@@ -14,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.polynomial.chebyshev import poly2cheb
 
 
 class UnsupportedRegimeError(ValueError):
@@ -248,32 +257,24 @@ def endpoint_derivative_row(n_max: int, l: int, sign: int) -> np.ndarray:
 # DCT-I with endpoint-halving convention
 # ---------------------------------------------------------------------------
 
-def dct1_forward(x, fast: bool = True) -> np.ndarray:
+def dct1_forward(x) -> np.ndarray:
     """DCT-I on C^(nu+2): y_m = sum''_n cos(m n pi/(nu+1)) x_n.
 
-    The double prime halves the n = 0 and n = nu+1 terms.  The fast path
-    is FFT-based (O(n log n)); ``fast=False`` evaluates the cosine matrix
-    directly in O(n^2) and is kept as an independent check.
+    The double prime halves the n = 0 and n = nu+1 terms.  FFT-based,
+    O(n log n).
     """
     x = np.asarray(x)
-    n = x.shape[0]
-    if n < 3:
+    if x.shape[0] < 3:
         raise ValueError("DCT-I needs at least 3 samples")
-    if fast:
-        return 0.5 * scipy.fft.dct(x, type=1)
-    big_n = n - 1
-    mat = np.cos(np.outer(np.arange(n), np.arange(n)) * (np.pi / big_n))
-    mat[:, 0] *= 0.5
-    mat[:, -1] *= 0.5
-    return mat @ x
+    return 0.5 * scipy.fft.dct(x, type=1)
 
 
-def dct1_inverse(y, fast: bool = True) -> np.ndarray:
+def dct1_inverse(y) -> np.ndarray:
     """Inverse of :func:`dct1_forward`; the DCT-I is self-inverse up to 2/(nu+1)."""
     y = np.asarray(y)
     if y.shape[0] < 3:
         raise ValueError("DCT-I needs at least 3 samples")
-    return dct1_forward(y, fast=fast) * (2.0 / (y.shape[0] - 1))
+    return dct1_forward(y) * (2.0 / (y.shape[0] - 1))
 
 
 def real_if_zero_imag(a) -> np.ndarray:
@@ -288,8 +289,7 @@ def real_if_zero_imag(a) -> np.ndarray:
     return a.real.astype(np.float64, copy=False)
 
 
-def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None,
-                             fast: bool = True) -> np.ndarray:
+def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None) -> np.ndarray:
     """Values at the grid of the Chebyshev series with coefficients ``alpha``.
 
     Computes C @ alpha with C[m, k] = T_k(c_m) = cos(m k pi/(nu+1)) via a
@@ -306,17 +306,17 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None,
     xt = alpha.copy()
     xt[0] *= 2.0
     xt[-1] *= 2.0
-    return dct1_forward(xt, fast=fast)
+    return dct1_forward(xt)
 
 
-def apply_inverse_collocation(values, fast: bool = True) -> np.ndarray:
+def apply_inverse_collocation(values) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through grid values (C^-1 @ values).
 
     Real values (or complex ones with a zero imaginary part) take a real
     DCT-I and give float64 coefficients, the same numbers as the complex
     transform at half the work; others give complex128.
     """
-    z = dct1_inverse(real_if_zero_imag(values), fast=fast)
+    z = dct1_inverse(real_if_zero_imag(values))
     z[0] *= 0.5
     z[-1] *= 0.5
     return z
@@ -386,11 +386,6 @@ class BandedMatrix:
             raise ValueError(f"entry ({i}, {j}) lies outside the band")
         self.data[self.upper_bw + i - j, j] = value
 
-    def add_at(self, i: int, j: int, value) -> None:
-        if not self.in_band(i, j):
-            raise ValueError(f"entry ({i}, {j}) lies outside the band")
-        self.data[self.upper_bw + i - j, j] += value
-
     def copy(self) -> "BandedMatrix":
         return BandedMatrix(self.n, self.lower_bw, self.upper_bw,
                             data=self.data.copy(), dtype=self.data.dtype)
@@ -446,53 +441,25 @@ class BandedMatrix:
         """Rows and columns lo..hi-1 as a new banded matrix."""
         if not (0 <= lo < hi <= self.n):
             raise ValueError("invalid submatrix range")
-        m = hi - lo
-        # Slot (upper_bw + off, j) holds row j + off; slots now referencing
-        # rows outside [lo, hi) must be cleared.
-        rows = np.arange(m) + np.arange(-self.upper_bw, self.lower_bw + 1)[:, None]
-        data = np.where((rows < 0) | (rows >= m), 0, self.data[:, lo:hi])
-        return BandedMatrix(m, self.lower_bw, self.upper_bw, data=data,
+        data = _zero_rows_outside(self.data[:, lo:hi].copy(), self.upper_bw)
+        return BandedMatrix(hi - lo, self.lower_bw, self.upper_bw, data=data,
                             dtype=self.data.dtype)
 
-    def __add__(self, other: "BandedMatrix") -> "BandedMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        lo = max(self.lower_bw, other.lower_bw)
-        up = max(self.upper_bw, other.upper_bw)
-        out = BandedMatrix(self.n, lo, up,
-                           dtype=np.result_type(self.data.dtype, other.data.dtype))
-        out.data[up - self.upper_bw : up + self.lower_bw + 1, :] += self.data
-        out.data[up - other.upper_bw : up + other.lower_bw + 1, :] += other.data
-        return out
 
-    def scaled(self, c) -> "BandedMatrix":
-        """``c`` times this matrix, in the field of the entries and ``c``."""
-        data = self.data * c
-        return BandedMatrix(self.n, self.lower_bw, self.upper_bw, data=data,
-                            dtype=data.dtype)
+def _zero_rows_outside(data: np.ndarray, upper_bw: int) -> np.ndarray:
+    """Zero, in place, the band slots of ``data`` that address rows outside [0, n).
 
-    def matmul(self, other: "BandedMatrix") -> "BandedMatrix":
-        """Banded product; bandwidths add."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        lo = self.lower_bw + other.lower_bw
-        up = self.upper_bw + other.upper_bw
-        dtype = np.result_type(self.data.dtype, other.data.dtype)
-        out = BandedMatrix(n, lo, up, dtype=dtype)
-        # One cast up front, not one per diagonal product.
-        a_data = self.data.astype(dtype, copy=False)
-        b_data = other.data.astype(dtype, copy=False)
-        for a in range(-self.upper_bw, self.lower_bw + 1):
-            arow = a_data[self.upper_bw + a]
-            for b in range(-other.upper_bw, other.lower_bw + 1):
-                d = a + b
-                j0 = max(0, -b, -d)
-                j1 = min(n, n - b, n - d)
-                if j0 >= j1:
-                    continue
-                out.data[up + d, j0:j1] += arow[j0 + b : j1 + b] * b_data[other.upper_bw + b, j0:j1]
-        return out
+    ``data`` is in LAPACK band layout; only the two corner triangles are
+    touched, one diagonal at a time.
+    """
+    n = data.shape[1]
+    for slot in range(data.shape[0]):
+        off = slot - upper_bw
+        if off < 0:
+            data[slot, : min(-off, n)] = 0
+        elif off > 0:
+            data[slot, max(n - off, 0) :] = 0
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -525,31 +492,32 @@ def weighted_diff_operator(n_rows: int) -> BandedMatrix:
     return d
 
 
-def polynomial_of_mult_x(p: Polynomial, n_rows: int) -> BandedMatrix:
-    """p(M) where M is the multiplication-by-x matrix, by Horner composition.
+def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
+    """Multiplication by ``p`` on {T_n} as a symmetric stencil over t = -w..w.
 
-    Real coefficients give a float64 matrix, others a complex128 one.
+    p T_n = sum_t h[t] T_{n+t} with T_{-k} = T_k, where h[0] = a_0 and
+    h[+-k] = a_k / 2 for the Chebyshev coefficients a_k of p.  Entry t sits
+    at index w + t; ``w`` must be at least deg p.  Real p gives float64.
     """
-    if p.is_zero:
-        return BandedMatrix(n_rows, 0, 0, dtype=np.float64)
-    coeffs = real_if_zero_imag(p.coeffs)
-    m = mult_x_operator(n_rows)
-    acc = BandedMatrix.identity(n_rows, dtype=coeffs.dtype).scaled(coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc.matmul(m)
-        acc.data[acc.upper_bw, :] += c
-    return acc
+    a = poly2cheb(real_if_zero_imag(p.coeffs))
+    k = len(a)
+    h = np.zeros(2 * w + 1, dtype=a.dtype)
+    h[w : w + k] = a / 2.0
+    h[w - k + 1 : w + 1] = a[::-1] / 2.0
+    h[w] = a[0]
+    return h
 
 
 def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,
                           n_rows: int) -> BandedMatrix:
     """Banded matrix of the operator p_diff(x) d/dx + p_mult(x) on {T_n}.
 
-    ``p_diff`` must be divisible by (1 - x^2); writing p_diff = (1-x^2) rho,
-    the result is rho(M) @ D + p_mult(M) with M the multiplication matrix
-    and D the matrix of (1 - x^2) d/dx.  Column n of the result holds the
-    Chebyshev coefficients of the operator applied to T_n; columns within
-    ``n_rows`` minus the bandwidth growth are exact truncations of the
+    ``p_diff`` must be divisible by (1 - x^2).  Writing p_diff = (1-x^2) rho,
+    column n is (n/2) rho (T_{n-1} - T_{n+1}) + p_mult T_n, so with the
+    stencils h of :func:`_chebyshev_stencil` row n + t holds
+    (n/2) (h_rho[t+1] - h_rho[t-1]) + h_p[t].  Slots for rows below 0 are
+    reflected onto their mirror rows (T_{-k} = T_k) and rows at or past
+    ``n_rows`` are dropped, so every column is the exact truncation of the
     infinite operator.  The matrix is float64 when both polynomials have
     real coefficients, complex128 otherwise.
     """
@@ -563,17 +531,18 @@ def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,
         scale = np.max(np.abs(p_diff.coeffs))
         if not rem.is_zero and np.max(np.abs(rem.coeffs)) > 1e-12 * scale:
             raise ValueError("p_diff must be divisible by 1 - x^2")
-    half_width = max(rho.degree + 1 if not rho.is_zero else 0, p_mult.degree)
-    if n_rows <= half_width + 1:
+    w = max(rho.degree + 1 if not rho.is_zero else 0, p_mult.degree)
+    if n_rows <= w + 1:
         raise ValueError(
-            f"n_rows={n_rows} too small for operator of half-bandwidth {half_width + 1}"
+            f"n_rows={n_rows} too small for operator of half-bandwidth {w + 1}"
         )
-    if rho.is_zero:
-        return polynomial_of_mult_x(p_mult, n_rows)
-    b = polynomial_of_mult_x(rho, n_rows).matmul(weighted_diff_operator(n_rows))
-    if not p_mult.is_zero:
-        b = b + polynomial_of_mult_x(p_mult, n_rows)
-    return b
+    h_rho = _chebyshev_stencil(rho, w + 1)
+    h_p = _chebyshev_stencil(p_mult, w)
+    data = np.outer(h_rho[2:] - h_rho[:-2], np.arange(n_rows) / 2.0) + h_p[:, None]
+    for n in range(w):  # rows n - w .. -1 of column n fold onto rows w - n .. 1
+        rows = np.arange(n - w, 0)
+        data[w - rows - n, n] += data[w + rows - n, n]
+    return BandedMatrix(n_rows, w, w, data=_zero_rows_outside(data, w), dtype=data.dtype)
 
 
 def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
@@ -582,8 +551,10 @@ def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
     Row n of the result equals row n of ``b`` for n < nu - d and n = nu + 1;
     rows nu-d..nu additionally absorb row 2(nu+1) - n, which is aliased onto
     row n by the identity T_{nu+1+l}(c_m) = T_{nu+1-l}(c_m) at the grid
-    points.  Rows of ``b`` beyond nu + d + 2 are discarded; choosing
-    d >= lower bandwidth - 1 guarantees nothing nonzero is dropped.
+    points (the reflection of :func:`fold_chebyshev_tail`).  Only the last
+    ``b.lower_bw`` columns reach rows past nu + 1.  Rows of ``b`` beyond
+    nu + d + 2 are discarded; choosing d >= lower bandwidth - 1 guarantees
+    nothing nonzero is dropped.
     """
     if nu <= d:
         raise UnsupportedRegimeError(
@@ -591,21 +562,14 @@ def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
         )
     if b.n < nu + d + 3:
         raise ValueError("operator matrix too small to fold: need rows up to nu + d + 2")
+    n = nu + 2
     up = max(b.upper_bw, d + 1)
-    out = BandedMatrix(nu + 2, b.lower_bw, up, dtype=b.data.dtype)
-    for off in range(-b.upper_bw, b.lower_bw + 1):
-        j0 = max(0, -off)
-        j1 = min(nu + 2, nu + 2 - off)
-        if j0 < j1:
-            out.data[up + off, j0:j1] = b.data[b.upper_bw + off, j0:j1]
-    for n in range(nu - d, nu + 1):
-        src = 2 * nu + 2 - n
-        m0 = max(0, src - b.upper_bw)
-        m1 = min(nu + 2, src + b.lower_bw + 1)
-        for m in range(m0, m1):
-            v = b.data[b.upper_bw + src - m, m]
-            if v != 0:
-                out.add_at(n, m, v)
+    out = BandedMatrix(n, b.lower_bw, up, dtype=b.data.dtype)
+    out.data[up - b.upper_bw :] = b.data[:, :n]
+    for m in range(max(0, n - b.lower_bw), n):  # rows nu+1+l fold onto nu+1-l
+        rows = np.arange(n, min(m + b.lower_bw, nu + d + 2) + 1)
+        out.data[up + 2 * (nu + 1) - rows - m, m] += out.data[up + rows - m, m]
+    _zero_rows_outside(out.data, up)
     return out
 
 

@@ -6,7 +6,8 @@ the high-order columns back onto the grid (aliasing) yields a finite
 banded system whose interior part is solved through one DCT-I per
 component plus a banded LU; the two boundary degrees of freedom per
 component that the row scaling annihilates are recovered from precomputed
-null vectors through a small dense bordering system.  Endpoint-derivative
+null vectors through a small dense bordering system, whose directions
+below their rounding floor are left out.  Endpoint-derivative
 conditions (s >= 1) add 2s tail coefficients per component.  The tail
 columns do not depend on f: the engine solves them once, in coefficient
 space (no DCT), in the same multi-column banded solve as the null vectors,
@@ -88,6 +89,11 @@ class NonFiniteAmplitudeError(ValueError):
 #: Solves whose scaled residual exceeds this factor times omega * max|f|
 #: are flagged (not rejected).
 RESIDUAL_FLAG_FACTOR = 1e-5
+
+#: Singular values of the bordering matrix, in units of its columns'
+#: rounding floors, at or below which a direction counts as unresolved.
+#: Over the benchmark workloads they fall below 1e6 (noise) or above 1e7.
+BORDER_RESOLVED = 1e6
 
 
 @dataclass(frozen=True)
@@ -232,6 +238,7 @@ class CollocationEngine:
         self.border = np.empty((2 * m, 2 * m), dtype=self.dtype)
         self.border[0::2] = _apply_rows(self.rows_plus[..., :n_head], self.null_vectors).T
         self.border[1::2] = _apply_rows(self.rows_minus[..., :n_head], self.null_vectors).T
+        self.border_solver = self._border_pseudo_inverse(n_head)
         if s == 0:
             return
 
@@ -273,6 +280,31 @@ class CollocationEngine:
             return np.ascontiguousarray(values.real)
         return values.astype(np.complex128, copy=False)
 
+    def _border_pseudo_inverse(self, n_head: int) -> np.ndarray:
+        """Solver for the bordering system that leaves out unresolved directions.
+
+        The endpoint rows weigh coefficient n by up to n^2, so border column
+        j carries a rounding floor of eps * sum_n |row_n| |v_jn| that can
+        exceed its value: when nu is well above omega some null-vector
+        combination is, to rounding, a homogeneous solution, the value does
+        not depend on its weight, and solving for that weight only
+        amplifies noise.  In units of the floors, singular directions at or
+        below BORDER_RESOLVED are dropped (minimum-norm solution).  A zero
+        column, or no resolved direction at all, raises.
+        """
+        absv = np.abs(self.null_vectors)
+        floor = np.finfo(np.float64).eps * np.maximum(*(
+            np.tensordot(absv, np.abs(rows[..., :n_head]), axes=([1, 2], [1, 2])).max(axis=1)
+            for rows in (self.rows_plus, self.rows_minus)))
+        if not floor.all():
+            col = int(np.argmin(floor))
+            raise SingularMatrixError(f"zero column {col} in the bordering system", col)
+        u, sig, vh = np.linalg.svd(self.border / floor)
+        keep = sig > BORDER_RESOLVED
+        if not keep.any():
+            raise SingularMatrixError("no direction of the bordering system is resolved")
+        return (vh[keep].conj().T / sig[keep]) @ u[:, keep].conj().T / floor[:, None]
+
     # -- cleared solves ------------------------------------------------------
 
     def _solve_interior(self, z_mid: np.ndarray) -> np.ndarray:
@@ -297,7 +329,7 @@ class CollocationEngine:
                        dtype=np.result_type(heads, rhs_plus, rhs_minus))
         rhs[0::2] = (rhs_plus - _apply_rows(self.rows_plus[..., :n_head], heads)).T
         rhs[1::2] = (rhs_minus - _apply_rows(self.rows_minus[..., :n_head], heads)).T
-        delta = dense_solve(self.border, rhs)
+        delta = self.border_solver @ rhs
         return heads + np.tensordot(delta.T, self.null_vectors, axes=1)
 
     def solve_cleared(self, rhs_scaled_mid: np.ndarray, rhs_plus: np.ndarray,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.special
 
 from .chebyshev import Polynomial, RationalFunction
 
@@ -181,111 +182,26 @@ def _bessel_signed(gamma: int, z: float):
 
 
 # ---------------------------------------------------------------------------
-# Bessel evaluation: Miller's downward recurrence + large-argument asymptotics
+# Bessel evaluation
 # ---------------------------------------------------------------------------
 
 def bessel_eval(gamma: int, x):
     """J_gamma(x) and J_gamma'(x) for integer gamma >= 0 and x > 0.
 
-    Moderate arguments use Miller's downward recurrence normalized by
-    J_0 + 2 sum_k J_{2k} = 1; for x > 50 (gamma + 1) the Hankel asymptotic
-    expansion takes over.  The derivative comes from the ladder identity
-    J_gamma' = (J_{gamma-1} - J_{gamma+1})/2 (or -J_1 for gamma = 0).
-    ``x`` may be a scalar or an array.
+    Values come from ``scipy.special.jv`` and ``jvp``.  ``x`` may be a
+    scalar or an array; a scalar gives a pair of floats.
     """
     if gamma < 0 or int(gamma) != gamma:
         raise ValueError("order must be a nonnegative integer")
     gamma = int(gamma)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x_arr = np.asarray(x, dtype=np.float64)
     if np.any(x_arr <= 0):
         raise ValueError("argument must be positive")
-    j = np.empty_like(x_arr)
-    jp = np.empty_like(x_arr)
-    cut = 50.0 * (gamma + 1)
-    small = x_arr <= cut
-    if np.any(small):
-        js, jps = _bessel_miller(gamma, x_arr[small])
-        j[small] = js
-        jp[small] = jps
-    if np.any(~small):
-        jl, jpl = _bessel_asymptotic(gamma, x_arr[~small])
-        j[~small] = jl
-        jp[~small] = jpl
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(j[0]), float(jp[0])
+    j = scipy.special.jv(gamma, x_arr)
+    jp = scipy.special.jvp(gamma, x_arr)
+    if x_arr.ndim == 0:
+        return float(j), float(jp)
     return j, jp
-
-
-def _miller_start(gamma: int, xmax: float) -> int:
-    # Start high enough that the downward recurrence has converged by
-    # order gamma + 1; the cube-root term covers the Airy transition region.
-    m = int(xmax + 12.0 * xmax ** (1.0 / 3.0) + 25.0) + gamma
-    return m + (m % 2)
-
-
-def _bessel_miller(gamma: int, x: np.ndarray):
-    m_start = _miller_start(gamma, float(x.max()))
-    jj1 = np.zeros_like(x)         # J_{m+1}
-    jj = np.full_like(x, 1e-300)   # J_m, arbitrary tiny seed
-    norm = np.zeros_like(x)
-    j_lo = np.zeros_like(x)   # J_{gamma-1} (unnormalized)
-    j_mid = np.zeros_like(x)  # J_gamma
-    j_hi = np.zeros_like(x)   # J_{gamma+1}
-    inv_x = 1.0 / x
-    for m in range(m_start, -1, -1):
-        if m == gamma + 1:
-            j_hi = jj.copy()
-        elif m == gamma:
-            j_mid = jj.copy()
-        elif gamma >= 1 and m == gamma - 1:
-            j_lo = jj.copy()
-        if m % 2 == 0:
-            norm += jj if m == 0 else 2.0 * jj
-        # step down: J_{m-1} = (2m/x) J_m - J_{m+1}
-        jj, jj1 = (2.0 * m) * inv_x * jj - jj1, jj
-        big = np.abs(jj) > 1e250
-        if np.any(big):
-            for arr in (jj, jj1, norm, j_lo, j_mid, j_hi):
-                arr[big] *= 1e-250
-    j = j_mid / norm
-    if gamma == 0:
-        jprime = -(j_hi / norm)
-    else:
-        jprime = (j_lo - j_hi) / (2.0 * norm)
-    return j, jprime
-
-
-def _hankel_pq(gamma: int, x: np.ndarray, n_terms: int = 20):
-    """P and Q sums of the large-argument expansion for J_gamma."""
-    mu = 4.0 * gamma * gamma
-    inv8x = 1.0 / (8.0 * x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 2 * n_terms):
-        term = term * (mu - (2 * k - 1) ** 2) / k * inv8x
-        signed = -term if (k // 2) % 2 else term
-        if k % 2 == 1:
-            q += signed
-        else:
-            p += signed
-    return p, q
-
-
-def _bessel_asymptotic_single(gamma: int, x: np.ndarray) -> np.ndarray:
-    p, q = _hankel_pq(gamma, x)
-    chi = x - (0.5 * gamma + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _bessel_asymptotic(gamma: int, x: np.ndarray):
-    j = _bessel_asymptotic_single(gamma, x)
-    if gamma == 0:
-        jprime = -_bessel_asymptotic_single(1, x)
-    else:
-        jprime = 0.5 * (_bessel_asymptotic_single(gamma - 1, x)
-                        - _bessel_asymptotic_single(gamma + 1, x))
-    return j, jprime
 
 
 # ---------------------------------------------------------------------------

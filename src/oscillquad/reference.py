@@ -25,7 +25,9 @@ from .chebyshev import apply_inverse_collocation, endpoint_derivative_row
 from .levin import LevinProblem, QuadratureResult, RESIDUAL_FLAG_FACTOR
 from .oscillator import AmplitudeSpec, OscillatorSystem, weight_values
 
-DENSE_SIZE_GUARD = 20000
+#: Largest dense collocation matrix that is built: 512 MiB of complex128
+#: entries (16 n^2 bytes), so order n <= 5792.
+DENSE_BYTES_GUARD = 512 << 20
 
 
 def _chebyshev_values_on_grid(nu: int, n_basis: int):
@@ -59,8 +61,11 @@ def dense_collocation_matrix(problem: LevinProblem):
     m, nu, s = sys.dim, problem.nu, problem.s
     nb = problem.n_basis
     n_total = m * nb
-    if n_total > DENSE_SIZE_GUARD:
-        raise ValueError(f"dense system of size {n_total} exceeds guard {DENSE_SIZE_GUARD}")
+    if 16 * n_total**2 > DENSE_BYTES_GUARD:
+        raise ValueError(
+            f"dense system of order {n_total} needs {16 * n_total**2 >> 20} MiB, "
+            f"over the {DENSE_BYTES_GUARD >> 20} MiB guard"
+        )
     t_vals, t_der = _chebyshev_values_on_grid(nu, nb)
     points = np.cos(np.arange(nu + 2) * (np.pi / (nu + 1)))
     points[0], points[-1] = 1.0, -1.0

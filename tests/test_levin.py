@@ -33,6 +33,7 @@ from oscillquad.levin import (
     CollocationEngine,
     LevinProblem,
     NonFiniteAmplitudeError,
+    UnsolvableProblemError,
     null_vectors_scalar,
     quadrature,
     solve_block_s,
@@ -604,6 +605,52 @@ def test_fallback_reason_keeps_dense_failure_when_fast_result_returned():
     assert res.path == "scalar_s0" and res.flagged
     assert res.fallback_reason.startswith("flagged residual ")
     assert "dense path failed: SingularMatrixError" in res.fallback_reason
+
+
+def test_unresolved_border_direction_is_left_out(monkeypatch):
+    # I1 at nu 16384, far above omega: one null-vector combination is, to
+    # rounding, a homogeneous solution, and its border column lies below its
+    # rounding floor.  Solving for its weight made the value depend on a
+    # one-ulp change of one band entry (relative errors 3e-7 to 2e-5).
+    omega = 1867.7114900275576
+    expected = 3.5837508581565306e-05j  # oracle_value at 2e6 points
+    build = levin.build_banded_operator
+    for ulps in (0, 1, -1):
+        def nudged(p_diff, p_mult, n_rows, ulps=ulps):
+            b = build(p_diff, p_mult, n_rows)
+            b.data[b.upper_bw, 1] += 1j * ulps * np.spacing(b.data[b.upper_bw, 1].imag)
+            return b
+
+        monkeypatch.setattr(levin, "build_banded_operator", nudged)
+        levin._forget_engine()
+        res = quadrature(LevinProblem(system=make_exponential([0.0, 1.0], omega),
+                                      amplitude=runge_amplitude(1), nu=16384))
+        assert res.path == "scalar_s0"
+        assert abs(res.value - expected) <= 1e-8 * abs(expected), ulps
+
+
+def test_unresolved_border_direction_is_left_out_for_two_components():
+    # The same for M = 2: with the end-0 border columns solved for, this
+    # draw was off by 6.7e-5 with a residual of 0.18, just under its flag.
+    expected = 6.312866676675982e-07  # oracle_value at 2e6 points
+    res = quadrature(LevinProblem(system=make_bessel(1, 2.0, 5879.124802740239),
+                                  amplitude=runge_amplitude(2), nu=32768))
+    assert res.path == "block_s0"
+    assert abs(res.value - expected) <= 1e-8 * abs(expected)
+
+
+def test_unsolvable_when_fast_fails_and_dense_is_over_the_memory_guard(monkeypatch):
+    def singular(a):
+        raise SingularMatrixError("banded matrix numerically singular at pivot 7", 7)
+
+    monkeypatch.setattr(levin, "banded_lu_factor", singular)
+    sys = make_exponential([0.0, 1.0], 100.0)
+    with pytest.raises(UnsolvableProblemError) as info:
+        quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=6000))
+    message = str(info.value)
+    assert "SingularMatrixError: banded matrix numerically singular" in message
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "MiB guard" in str(info.value.__cause__)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

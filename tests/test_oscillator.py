@@ -153,18 +153,6 @@ def test_bessel_frozen_reference_values():
     assert jp == pytest.approx(J1P_300, abs=1e-13)
 
 
-def test_bessel_path_agreement_at_switchover():
-    # Miller and the asymptotic expansion agree at the switchover argument
-    from oscillquad.oscillator import _bessel_asymptotic, _bessel_miller
-
-    for gamma in (0, 1):
-        z = np.array([50.0 * (gamma + 1)])
-        j_m, jp_m = _bessel_miller(gamma, z)
-        j_a, jp_a = _bessel_asymptotic(gamma, z)
-        assert j_m[0] == pytest.approx(j_a[0], abs=1e-13)
-        assert jp_m[0] == pytest.approx(jp_a[0], abs=1e-13)
-
-
 def test_bessel_vectorized_matches_scalar():
     xs = np.array([0.5, 3.0, 49.0, 51.0, 400.0])
     j, jp = bessel_eval(1, xs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,18 @@ def test_dense_size_guard():
     with pytest.raises(ValueError):
         dense_levin_solve(LevinProblem(system=sys, amplitude=runge_amplitude(1),
                                        nu=30000))
+
+
+def test_dense_guard_counts_bytes_and_raises_before_allocating():
+    # order 6002 is below the old 20000-row guard, but its complex matrix
+    # needs 550 MiB, over the 512 MiB bound: refused before anything is built
+    problem = LevinProblem(system=make_exponential([0.0, 1.0], 100.0),
+                           amplitude=runge_amplitude(1), nu=6000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="needs 549 MiB, over the 512 MiB guard"):
+            dense_collocation_matrix(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
