@@ -1,8 +1,8 @@
 """Chebyshev-basis infrastructure.
 
-Clenshaw-Curtis grids, Chebyshev series evaluation, endpoint derivatives,
-DCT-I transforms, and banded matrices of the operators
-``p_diff(x) d/dx + p_mult(x)`` acting on the basis {T_0, T_1, ...}.
+Clenshaw-Curtis grids, endpoint derivatives of T_n, DCT-I transforms, and
+banded matrices of the operators ``p_diff(x) d/dx + p_mult(x)`` acting on
+the basis {T_0, T_1, ...}.
 
 A band is written in closed form from Chebyshev coefficients.
 Multiplication by p = sum_k a_k T_k is the symmetric stencil h[0] = a_0,
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.polynomial.chebyshev import poly2cheb
 
 
 class UnsupportedRegimeError(ValueError):
@@ -203,47 +202,17 @@ def clenshaw_curtis_points(nu: int) -> ClenshawCurtisGrid:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev series evaluation and endpoint derivatives
+# Endpoint derivatives
 # ---------------------------------------------------------------------------
 
-def cheb_eval(series, x):
-    """Evaluate sum_n series[n] * T_n(x) by the backward Clenshaw recurrence.
-
-    ``x`` may be a scalar or an array in [-1, 1] (a slack of 1e-12 is
-    tolerated before a domain error is raised).
-    """
-    c = np.asarray(series, dtype=np.complex128)
-    xa = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(xa) > 1.0 + 1e-12):
-        raise ValueError("evaluation point outside [-1, 1]")
-    b1 = np.zeros_like(xa, dtype=np.complex128)
-    b2 = np.zeros_like(b1)
-    for a in c[:0:-1]:
-        b1, b2 = a + 2.0 * xa * b1 - b2, b1
-    out = c[0] + xa * b1 - b2
-    return out if out.shape else complex(out)
-
-
-def cheb_endpoint_derivative(n: int, l: int, sign: int) -> float:
-    """l-th derivative of T_n at x = sign * 1.
+def endpoint_derivative_row(n_max: int, l: int, sign: int) -> np.ndarray:
+    """Vector of [T_n^(l)](sign * 1) for n = 0..n_max.
 
     Uses the multiplicative recursion
     ``[T_n^(l)](+-1) = +- (n^2 - (l-1)^2)/(2l - 1) * [T_n^(l-1)](+-1)``
     seeded with T_n(+-1) = (+-1)^n; the factor vanishes once l exceeds n,
-    so values for l > n come out exactly zero.
+    so entries with l > n come out exactly zero.
     """
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    val = 1.0 if (sign == 1 or n % 2 == 0) else -1.0
-    for k in range(1, l + 1):
-        val *= sign * (n * n - (k - 1) ** 2) / (2 * k - 1)
-    return val
-
-
-def endpoint_derivative_row(n_max: int, l: int, sign: int) -> np.ndarray:
-    """Vector of [T_n^(l)](sign * 1) for n = 0..n_max."""
     if n_max < 0 or l < 0:
         raise ValueError("n_max and l must be nonnegative")
     n = np.arange(n_max + 1, dtype=np.float64)
@@ -386,10 +355,6 @@ class BandedMatrix:
             raise ValueError(f"entry ({i}, {j}) lies outside the band")
         self.data[self.upper_bw + i - j, j] = value
 
-    def copy(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.lower_bw, self.upper_bw,
-                            data=self.data.copy(), dtype=self.data.dtype)
-
     @classmethod
     def identity(cls, n: int, dtype=np.complex128) -> "BandedMatrix":
         out = cls(n, 0, 0, dtype=dtype)
@@ -466,46 +431,23 @@ def _zero_rows_outside(data: np.ndarray, upper_bw: int) -> np.ndarray:
 # Banded operator construction
 # ---------------------------------------------------------------------------
 
-def mult_x_operator(n_rows: int) -> BandedMatrix:
-    """Matrix of multiplication by x on {T_n}: column n maps T_n to x T_n.
-
-    Column 0 carries the T_{-1} = T_1 identification, so x T_0 = T_1 with
-    coefficient 1; all other columns have 1/2 at rows n - 1 and n + 1.
-    """
-    if n_rows < 2:
-        raise ValueError("need at least 2 rows")
-    m = BandedMatrix(n_rows, 1, 1, dtype=np.float64)
-    m.data[0, 1:] = 0.5
-    m.data[2, : n_rows - 1] = 0.5
-    m.data[2, 0] = 1.0
-    return m
-
-
-def weighted_diff_operator(n_rows: int) -> BandedMatrix:
-    """Matrix of (1 - x^2) d/dx on {T_n}: column n has n/2 at row n-1, -n/2 at row n+1."""
-    if n_rows < 2:
-        raise ValueError("need at least 2 rows")
-    d = BandedMatrix(n_rows, 1, 1, dtype=np.float64)
-    cols = np.arange(n_rows, dtype=np.float64)
-    d.data[0, 1:] = cols[1:] / 2.0
-    d.data[2, : n_rows - 1] = -cols[: n_rows - 1] / 2.0
-    return d
-
-
 def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
     """Multiplication by ``p`` on {T_n} as a symmetric stencil over t = -w..w.
 
     p T_n = sum_t h[t] T_{n+t} with T_{-k} = T_k, where h[0] = a_0 and
     h[+-k] = a_k / 2 for the Chebyshev coefficients a_k of p.  Entry t sits
     at index w + t; ``w`` must be at least deg p.  Real p gives float64.
+
+    The stencil is the Laurent series of p((z + 1/z) / 2) in z, expanded by
+    Horner's rule: multiplication by x = (z + 1/z) / 2 averages the two
+    neighbours of each slot.  The buffer has one spare slot at each end.
     """
-    a = poly2cheb(real_if_zero_imag(p.coeffs))
-    k = len(a)
-    h = np.zeros(2 * w + 1, dtype=a.dtype)
-    h[w : w + k] = a / 2.0
-    h[w - k + 1 : w + 1] = a[::-1] / 2.0
-    h[w] = a[0]
-    return h
+    a = real_if_zero_imag(p.coeffs)
+    h = np.zeros(2 * w + 3, dtype=a.dtype)
+    for a_k in a[::-1]:
+        h[1:-1] = 0.5 * (h[:-2] + h[2:])
+        h[w + 1] += a_k
+    return h[1:-1]
 
 
 def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,

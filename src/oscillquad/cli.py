@@ -34,13 +34,19 @@ from .banded import SingularMatrixError, banded_condest, dense_condest
 from .levin import CollocationEngine, LevinProblem, UnsolvableProblemError, quadrature
 from .levin import _forget_engine
 from .oscillator import parse_oscillator_config
-from .reference import dense_collocation_matrix, dense_levin_solve, oracle_value
+from .reference import (
+    dense_collocation_matrix,
+    dense_levin_solve,
+    dense_within_guard,
+    oracle_value,
+)
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 #: cmd_bench / cmd_condition skip the dense system beyond this nu unless
-#: the config overrides (dense cost is cubic; the fast path is not capped).
+#: the config overrides (dense cost is cubic; the fast path is not capped),
+#: and wherever the dense memory guard would refuse it.
 DEFAULT_DENSE_MAX_NU = 4096
 DEFAULT_COND_MAX_NU = 2048
 
@@ -201,7 +207,7 @@ def cmd_bench(config: dict, args) -> list[list[str]]:
         problem = _build_problem(config, nu=nu)
         times = [_cold_wall_time(problem) for _ in range(repeats)]
         rows.append([str(nu), "fast", _fmt(statistics.median(times))])
-        if nu <= dense_cap:
+        if nu <= dense_cap and dense_within_guard(problem):
             times = [dense_levin_solve(problem).wall_time for _ in range(repeats)]
             rows.append([str(nu), "dense", _fmt(statistics.median(times))])
     return rows
@@ -219,7 +225,7 @@ def cmd_condition(config: dict, args) -> list[list[str]]:
         engine = CollocationEngine(problem.system, nu, problem.s)
         cond_banded = banded_condest(engine.reordered)
         cond_border = dense_condest(engine.border)
-        if nu <= full_cap:
+        if nu <= full_cap and dense_within_guard(problem):
             a, _ = dense_collocation_matrix(problem)
             cond_full = dense_condest(a)
         else:

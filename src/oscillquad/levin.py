@@ -8,7 +8,10 @@ component plus a banded LU; the two boundary degrees of freedom per
 component that the row scaling annihilates are recovered from precomputed
 null vectors through a small dense bordering system, whose directions
 below their rounding floor are left out.  Endpoint-derivative
-conditions (s >= 1) add 2s tail coefficients per component.  The tail
+conditions (s >= 1) add 2s tail coefficients per component.  The engine
+holds the folded operator once, as one band interleaved over components
+(Hockney order), and every endpoint condition, l = 0 (the endpoint rows)
+through s (the tail rows), in one table built by one Leibniz rule.  The tail
 columns do not depend on f: the engine solves them once, in coefficient
 space (no DCT), in the same multi-column banded solve as the null vectors,
 and each call then needs only one small dense 2Ms x 2Ms system.  A call
@@ -57,7 +60,6 @@ from .banded import (
 from .chebyshev import (
     ONE_MINUS_X2,
     BandedMatrix,
-    ClenshawCurtisGrid,
     Polynomial,
     UnsupportedRegimeError,
     apply_collocation_matrix,
@@ -187,39 +189,45 @@ class CollocationEngine:
             raise UnsupportedRegimeError(
                 f"nu={nu} too small for operator bandwidth (need nu > {self.fold_depth})"
             )
-        self.folded = [
-            [fold_operator(blocks_big[i][j], nu, self.fold_depth) for j in range(m)]
-            for i in range(m)
-        ]
-
-        mids = [[blk.principal_submatrix(1, nu + 1) for blk in row] for row in self.folded]
-        self.perm = hockney_permutation(m, nu)
-        self.reordered = reorder_block_banded(mids, self.perm)
+        # The folded blocks, interleaved into one band (Hockney order: row
+        # M*n + i of column M*n' + j is entry (n, n') of block (i, j)), whose
+        # interior rows and columns n = 1..nu are the projected system.
+        self.operator = reorder_block_banded(
+            [[fold_operator(blk, nu, self.fold_depth) for blk in row] for row in blocks_big],
+            hockney_permutation(m, nu + 2))
+        self.reordered = self.operator.principal_submatrix(m, m * (nu + 1))
         self.lu = banded_lu_factor(self.reordered)
 
-        # Unscaled collocation rows at the endpoints over the whole basis
-        # (head and tail): rows_plus[i, j, n] is the coefficient of
-        # alpha_n^[j] in the i-th cleared equation at x = +1.  T_n'(+1) = n^2,
-        # T_n'(-1) = (-1)^(n-1) n^2, T_n(+-1) = (+-1)^n.
+        # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, as rows
+        # over the whole basis (head and tail), by Leibniz on exact
+        # derivatives of r, r G and T_n: rows[i, l, e, j, n] is the
+        # coefficient of alpha_n^[j] in condition (i, l) at x = +1 (e = 0)
+        # or -1 (e = 1).  l = 0 gives the endpoint rows, l >= 1 the tail rows.
         n_head = nu + 2
         n_all = nu + 2 * s + 2
-        ns = np.arange(n_all, dtype=np.float64)
-        signs = (-1.0) ** ns
-        diag = np.eye(m)[:, :, None]
-        ends = np.array([1.0, -1.0])
-        gt = self._in_field([[system.r_g[j][i](ends) for j in range(m)] for i in range(m)])
-        rp, rm = self.r_vals[[0, -1]]
-        self.rows_plus = rp * diag * (ns * ns) + gt[:, :, 0, None]
-        self.rows_minus = rm * diag * (-(ns * ns) * signs) + gt[:, :, 1, None] * signs
+        self.r_derivs = self._in_field(_poly_endpoint_derivs(system.r, s))
+        gt_derivs = self._in_field([[_poly_endpoint_derivs(system.r_g[j][i], s)
+                                     for j in range(m)] for i in range(m)])
+        t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
+                  for sign in (+1, -1)]
+        rows = np.zeros((m, s + 1, 2, m, n_all), dtype=self.dtype)
+        for i, l, e in np.ndindex(m, s + 1, 2):
+            for p in range(l + 1):
+                c = math.comb(l, p)
+                rows[i, l, e, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
+                for j in range(m):
+                    rows[i, l, e, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
+        self.end_rows = rows[:, 0].reshape(2 * m, m, n_all)
+        self.tail_rows = rows[:, 1:].reshape(2 * m * s, m, n_all)
 
         # One multi-column banded solve serves the null vectors of the
         # projected system (v = e_{k,end} + interior part, against the
-        # endpoint columns of the folded operator) and, for s >= 1, the tail
+        # endpoint columns of the operator) and, for s >= 1, the tail
         # columns: the scaled operator applied to each tail element e_k T_n
         # (n = nu+2 .. nu+2s+1), aliased onto the grid in coefficient space,
         # whose grid values with the endpoints dropped need no DCT round trip.
         ends = [(k, end) for k in range(m) for end in (0, nu + 1)]
-        rhs_cols = np.array([[self.folded[i][k].column(end) for i in range(m)]
+        rhs_cols = np.array([self.operator.column(m * end + k).reshape(n_head, m).T
                              for k, end in ends])
         tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
         self.tail_ops = np.zeros((0, m, n_head), dtype=self.dtype)
@@ -233,40 +241,19 @@ class CollocationEngine:
         for col, (k, end) in enumerate(ends):
             self.null_vectors[col, k, end] += 1.0
 
-        # Bordering matrix: the 2M unscaled endpoint rows applied to the
-        # 2M null vectors.
-        self.border = np.empty((2 * m, 2 * m), dtype=self.dtype)
-        self.border[0::2] = _apply_rows(self.rows_plus[..., :n_head], self.null_vectors).T
-        self.border[1::2] = _apply_rows(self.rows_minus[..., :n_head], self.null_vectors).T
+        # Bordering matrix: the 2M endpoint rows applied to the 2M null vectors.
+        self.border = _apply_rows(self.end_rows[..., :n_head], self.null_vectors).T
         self.border_solver = self._border_pseudo_inverse(n_head)
         if s == 0:
             return
 
         # tail_heads[c] solves the cleared system on the head for minus the
         # operator applied to tail element c, whose endpoint values are the
-        # tail columns of the endpoint rows.
-        tail_plus, tail_minus = (
-            -rows[:, :, n_head:].transpose(1, 2, 0).reshape(len(tail), m)
-            for rows in (self.rows_plus, self.rows_minus)
-        )
-        self.tail_heads = self._meet_endpoint_rows(heads[2 * m :], tail_plus, tail_minus)
-
-        # Cleared derivative conditions d^l [r L q]_i (+-1), l = 1..s, as
-        # rows over the whole basis, in (i, l, sign) order; applied to
-        # head + sum_c t_c (tail_heads[c] + tail element c) they give the
-        # 2Ms x 2Ms tail system.
-        self.r_derivs = self._in_field(_poly_endpoint_derivs(system.r, s))
-        gt_derivs = self._in_field([[_poly_endpoint_derivs(system.r_g[j][i], s)
-                                     for j in range(m)] for i in range(m)])
-        t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
-                  for sign in (+1, -1)]
-        self.tail_rows = np.zeros((len(tail), m, n_all), dtype=self.dtype)
-        for row, (i, l, e) in enumerate(_tail_conditions(m, s)):
-            for p in range(l + 1):
-                c = math.comb(l, p)
-                self.tail_rows[row, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
-                for j in range(m):
-                    self.tail_rows[row, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
+        # tail columns of the endpoint rows.  Applied to head + sum_c t_c
+        # (tail_heads[c] + tail element c), the tail rows give the 2Ms x 2Ms
+        # tail system.
+        self.tail_heads = self._meet_endpoint_rows(
+            heads[2 * m :], -self.end_rows[..., n_head:].reshape(2 * m, len(tail)).T)
         self.tail_matrix = (
             _apply_rows(self.tail_rows[..., :n_head], self.tail_heads).T
             + self.tail_rows[..., n_head:].reshape(len(tail), len(tail))
@@ -294,8 +281,9 @@ class CollocationEngine:
         """
         absv = np.abs(self.null_vectors)
         floor = np.finfo(np.float64).eps * np.maximum(*(
-            np.tensordot(absv, np.abs(rows[..., :n_head]), axes=([1, 2], [1, 2])).max(axis=1)
-            for rows in (self.rows_plus, self.rows_minus)))
+            np.tensordot(absv, np.abs(self.end_rows[e::2, :, :n_head]),
+                         axes=([1, 2], [1, 2])).max(axis=1)
+            for e in (0, 1)))
         if not floor.all():
             col = int(np.argmin(floor))
             raise SingularMatrixError(f"zero column {col} in the bordering system", col)
@@ -314,32 +302,26 @@ class CollocationEngine:
         """
         m, nu = self.m, self.nu
         k = z_mid.shape[0]
-        x = banded_solve(self.lu, z_mid.reshape(k, m * nu).T[self.perm.perm])
+        x = banded_solve(self.lu, z_mid.transpose(2, 1, 0).reshape(nu * m, k))
         heads = np.zeros((k, m, nu + 2), dtype=x.dtype)
-        heads[:, :, 1 : nu + 1] = x[self.perm.inverse].T.reshape(k, m, nu)
+        heads[:, :, 1 : nu + 1] = x.reshape(nu, m, k).transpose(2, 1, 0)
         return heads
 
-    def _meet_endpoint_rows(self, heads: np.ndarray, rhs_plus: np.ndarray,
-                            rhs_minus: np.ndarray) -> np.ndarray:
+    def _meet_endpoint_rows(self, heads: np.ndarray, rhs_end: np.ndarray) -> np.ndarray:
         """Add to each of ``heads`` (K, M, nu+2) the null-vector combination
-        that meets the 2M endpoint rows with values ``rhs_plus``, ``rhs_minus``
-        (K, M)."""
-        n_head = self.nu + 2
-        rhs = np.empty((2 * self.m, heads.shape[0]),
-                       dtype=np.result_type(heads, rhs_plus, rhs_minus))
-        rhs[0::2] = (rhs_plus - _apply_rows(self.rows_plus[..., :n_head], heads)).T
-        rhs[1::2] = (rhs_minus - _apply_rows(self.rows_minus[..., :n_head], heads)).T
+        that meets the 2M endpoint rows with values ``rhs_end`` (K, 2M), in
+        (component, end) order."""
+        rhs = (rhs_end - _apply_rows(self.end_rows[..., : self.nu + 2], heads)).T
         delta = self.border_solver @ rhs
         return heads + np.tensordot(delta.T, self.null_vectors, axes=1)
 
-    def solve_cleared(self, rhs_scaled_mid: np.ndarray, rhs_plus: np.ndarray,
-                      rhs_minus: np.ndarray) -> np.ndarray:
+    def solve_cleared(self, rhs_scaled_mid: np.ndarray, rhs_end: np.ndarray) -> np.ndarray:
         """Solve the cleared collocation system A alpha = b on the nu+2 head.
 
         ``rhs_scaled_mid[i, m]`` holds (1 - c_m^2) b_i(c_m) at the interior
-        points m = 1..nu; ``rhs_plus`` / ``rhs_minus`` the unscaled values
-        b_i(+-1).  Returns coefficients of shape (M, nu+2), real when the
-        engine and the right-hand side are both real.
+        points m = 1..nu; ``rhs_end`` the unscaled values b_i(+1), b_i(-1)
+        in (component, end) order.  Returns coefficients of shape (M, nu+2),
+        real when the engine and the right-hand side are both real.
         """
         m, nu = self.m, self.nu
         z_mid = np.empty((1, m, nu), dtype=np.result_type(self.dtype, rhs_scaled_mid))
@@ -348,7 +330,7 @@ class CollocationEngine:
             full[1 : nu + 1] = rhs_scaled_mid[i]
             z_mid[0, i] = apply_inverse_collocation(full)[1 : nu + 1]
         heads = self._solve_interior(z_mid)
-        return self._meet_endpoint_rows(heads, rhs_plus[None], rhs_minus[None])[0]
+        return self._meet_endpoint_rows(heads, rhs_end[None])[0]
 
     # -- residual --------------------------------------------------------------
 
@@ -359,30 +341,20 @@ class CollocationEngine:
         checked in scaled cleared form, the tail added in coefficient space
         before one transform per component, and divided back by
         (1 - c_m^2) r(c_m); the endpoint rows (recovered by the bordering
-        solve) are checked directly.
+        solve) are checked directly, divided back by r(+-1).
         """
         m, nu = self.m, self.nu
         grid = self.grid
-        head = coeffs[:, : nu + 2]
-        tail_flat = coeffs[:, nu + 2 :].reshape(-1)
         r_vals = self.r_vals
-        scaled_target = grid.sin2 * r_vals * f_values
-        rp, rm = r_vals[0], r_vals[-1]
-        resid = 0.0
-        for i in range(m):
-            acc = tail_flat @ self.tail_ops[:, i]
-            for j in range(m):
-                acc += self.folded[i][j].matvec(head[j])
-            y = apply_collocation_matrix(acc, grid)
-            interior = np.abs(y[1:-1] - scaled_target[i, 1:-1]) / (
-                grid.sin2[1:-1] * np.abs(r_vals[1:-1])
-            )
-            resid = max(resid, float(interior.max()))
-            end_p = np.sum(self.rows_plus[i] * coeffs)
-            end_m = np.sum(self.rows_minus[i] * coeffs)
-            resid = max(resid, abs(end_p - rp * f_values[i, 0]) / abs(rp))
-            resid = max(resid, abs(end_m - rm * f_values[i, -1]) / abs(rm))
-        return resid
+        acc = (self.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
+               + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1))
+        y = np.array([apply_collocation_matrix(a, grid) for a in acc])
+        interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
+            grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
+        r_end = r_vals[[0, -1]]
+        ends = np.abs(_apply_rows(self.end_rows, coeffs[None])[0]
+                      - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
+        return float(max(interior.max(), ends.max()))
 
 
 def _freeze(value) -> None:
@@ -494,10 +466,9 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
     f_values = real_if_zero_imag(f_values)
     r_vals = eng.r_vals
     rhs_scaled_mid = (grid.sin2 * r_vals * f_values)[:, 1:-1]
-    rhs_plus = r_vals[0] * f_values[:, 0]
-    rhs_minus = r_vals[-1] * f_values[:, -1]
+    rhs_end = (r_vals[[0, -1]] * f_values[:, [0, -1]]).reshape(-1)
 
-    coeffs = eng.solve_cleared(rhs_scaled_mid, rhs_plus, rhs_minus)
+    coeffs = eng.solve_cleared(rhs_scaled_mid, rhs_end)
     if eng.s >= 1:
         rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
                - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
@@ -602,46 +573,3 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
         ) from exc
     _log.info("%s fell back to dense_fallback: %s", path, reason)
     return replace(result, path="dense_fallback", fallback_reason=reason)
-
-
-# ---------------------------------------------------------------------------
-# Spec-level scalar building blocks (exposed for direct testing)
-# ---------------------------------------------------------------------------
-
-def solve_interior_scalar(b_tilde: BandedMatrix, f_samples,
-                          grid: ClenshawCurtisGrid) -> np.ndarray:
-    """Interior solve of the scaled scalar system: P B~ P alpha0 = P C^-1 f~.
-
-    ``f_samples`` are unscaled values f(c_m); the row scaling (1 - c_m^2)
-    is applied here.  Returns the full nu+2 coefficient vector with
-    alpha0[0] = alpha0[nu+1] = 0.
-    """
-    nu = grid.nu
-    f_samples = np.asarray(f_samples, dtype=np.complex128)
-    if f_samples.shape[0] != nu + 2:
-        raise ValueError("f_samples must have nu + 2 entries")
-    if b_tilde.n != nu + 2:
-        raise ValueError("B~ must be (nu+2) x (nu+2)")
-    z = apply_inverse_collocation(grid.sin2 * f_samples)
-    lu = banded_lu_factor(b_tilde.principal_submatrix(1, nu + 1))
-    alpha0 = np.zeros(nu + 2, dtype=np.complex128)
-    alpha0[1 : nu + 1] = banded_solve(lu, z[1 : nu + 1])
-    return alpha0
-
-
-def null_vectors_scalar(b_tilde: BandedMatrix, grid: ClenshawCurtisGrid):
-    """The two kernel vectors of the projected scalar system.
-
-    v1 = e_0 + interior part, v2 = e_{nu+1} + interior part, with
-    P A v_j = 0; the interior parts solve the same banded middle system
-    against the endpoint columns of B~.
-    """
-    nu = grid.nu
-    lu = banded_lu_factor(b_tilde.principal_submatrix(1, nu + 1))
-    v1 = np.zeros(nu + 2, dtype=np.complex128)
-    v2 = np.zeros(nu + 2, dtype=np.complex128)
-    v1[1 : nu + 1] = banded_solve(lu, -b_tilde.column(0)[1 : nu + 1])
-    v2[1 : nu + 1] = banded_solve(lu, -b_tilde.column(nu + 1)[1 : nu + 1])
-    v1[0] = 1.0
-    v2[nu + 1] = 1.0
-    return v1, v2

@@ -30,6 +30,11 @@ from .oscillator import AmplitudeSpec, OscillatorSystem, weight_values
 DENSE_BYTES_GUARD = 512 << 20
 
 
+def dense_within_guard(problem: LevinProblem) -> bool:
+    """Whether the dense collocation matrix of ``problem`` is small enough to build."""
+    return 16 * (problem.system.dim * problem.n_basis) ** 2 <= DENSE_BYTES_GUARD
+
+
 def _chebyshev_values_on_grid(nu: int, n_basis: int):
     """T_n(c_m) and T_n'(c_m) on the Clenshaw-Curtis grid, by trigonometry.
 
@@ -61,7 +66,7 @@ def dense_collocation_matrix(problem: LevinProblem):
     m, nu, s = sys.dim, problem.nu, problem.s
     nb = problem.n_basis
     n_total = m * nb
-    if 16 * n_total**2 > DENSE_BYTES_GUARD:
+    if not dense_within_guard(problem):
         raise ValueError(
             f"dense system of order {n_total} needs {16 * n_total**2 >> 20} MiB, "
             f"over the {DENSE_BYTES_GUARD >> 20} MiB guard"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from oscillquad import levin
 from oscillquad.banded import banded_condest, dense_condest, hockney_permutation, reorder_block_banded
@@ -20,12 +21,10 @@ from oscillquad.chebyshev import (
     RationalFunction,
     apply_collocation_matrix,
     build_banded_operator,
-    cheb_eval,
     clenshaw_curtis_points,
     dct1_forward,
     dct1_inverse,
-    mult_x_operator,
-    weighted_diff_operator,
+    fold_operator,
 )
 from oscillquad.levin import (
     LevinProblem,
@@ -38,7 +37,6 @@ from oscillquad.oscillator import AmplitudeSpec, make_bessel, make_exponential
 from oscillquad.reference import dense_collocation_matrix, dense_levin_solve
 
 from conftest import RUNGE_DEN, fit_loglog_slope, runge_amplitude
-from test_levin import scalar_folded_operator
 
 ORACLE_FULL = 1_000_000
 ORACLE_HALF = 316_228  # 10^5.5 rounded to the nearest even integer
@@ -54,6 +52,12 @@ def i1_system(omega):
 
 def i2_system(omega):
     return make_bessel(1, 2.0, omega)
+
+
+def scalar_folded_operator(system, nu):
+    p_mult = ONE_MINUS_X2 * system.r_g[0][0]
+    b = build_banded_operator(ONE_MINUS_X2 * system.r, p_mult, nu + p_mult.degree + 8)
+    return fold_operator(b, nu, b.lower_bw - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def test_criterion_7_structural_suite():
     theta = np.arccos(xs)
     ok = True
     for n in range(0, 30, 3):
-        got = cheb_eval(b.column(n), xs)
+        got = chebval(xs, b.column(n))
         expected = (ONE_MINUS_X2(xs) * n * np.sin(n * theta) / np.sin(theta)
                     + p_mult(xs) * np.cos(n * theta))
         ok &= np.max(np.abs(got - expected)) <= 1e-10 * omega
@@ -363,7 +367,8 @@ def test_criterion_7_structural_suite():
 
     # printed operator matrices: multiplication, weighted differentiation,
     # and the linear-phase combination
-    m_op = mult_x_operator(6).to_dense().real
+    zero = Polynomial([0.0])
+    m_op = build_banded_operator(zero, Polynomial([0.0, 1.0]), 6).to_dense()
     expected_m = np.zeros((6, 6))
     expected_m[1, 0] = 1.0
     for n in range(1, 6):
@@ -371,7 +376,7 @@ def test_criterion_7_structural_suite():
         if n + 1 < 6:
             expected_m[n + 1, n] = 0.5
     ok = np.allclose(m_op, expected_m)
-    d_op = weighted_diff_operator(6).to_dense().real
+    d_op = build_banded_operator(ONE_MINUS_X2, zero, 6).to_dense()
     expected_d = np.zeros((6, 6))
     for n in range(1, 6):
         expected_d[n - 1, n] = n / 2.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval, poly2cheb
 
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
@@ -16,11 +17,10 @@ from oscillquad.chebyshev import (
     Polynomial,
     RationalFunction,
     UnsupportedRegimeError,
+    _chebyshev_stencil,
     apply_collocation_matrix,
     apply_inverse_collocation,
     build_banded_operator,
-    cheb_endpoint_derivative,
-    cheb_eval,
     clenshaw_curtis_points,
     dct1_forward,
     dct1_inverse,
@@ -28,9 +28,8 @@ from oscillquad.chebyshev import (
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
-    mult_x_operator,
     poly_divmod,
-    weighted_diff_operator,
+    real_if_zero_imag,
 )
 
 
@@ -162,40 +161,19 @@ def test_grid_rejects_bad_nu(nu):
 
 
 # ---------------------------------------------------------------------------
-# Series evaluation and endpoint derivatives
+# Endpoint derivatives
 # ---------------------------------------------------------------------------
 
-def test_cheb_eval_unit_vectors_at_one():
-    for n in range(6):
-        e = np.zeros(n + 1)
-        e[n] = 1.0
-        assert cheb_eval(e, 1.0) == pytest.approx(1.0)
-
-
-def test_cheb_eval_t1_t2():
-    assert cheb_eval([0, 1], 0.3) == pytest.approx(0.3)
-    assert cheb_eval([0, 0, 1], 0.5) == pytest.approx(-0.5)
-
-
-def test_cheb_eval_matches_monomial_oracle():
-    rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    xs = rng.uniform(-1, 1, size=11)
-    expected = sum(c * eval_monomial(chebyshev_monomial(n), xs)
-                   for n, c in enumerate(coeffs))
-    assert np.allclose(cheb_eval(coeffs, xs), expected, atol=1e-13)
-
-
-def test_cheb_eval_domain_error():
-    with pytest.raises(ValueError):
-        cheb_eval([1.0, 2.0], 1.0 + 1e-6)
+def endpoint_derivative(n, l, sign):
+    """[T_n^(l)](sign * 1), the last entry of its endpoint_derivative_row."""
+    return endpoint_derivative_row(n, l, sign)[n]
 
 
 def test_endpoint_derivative_seed_and_first_order():
-    assert cheb_endpoint_derivative(5, 0, +1) == 1.0
-    assert cheb_endpoint_derivative(3, 1, +1) == 9.0
-    assert cheb_endpoint_derivative(4, 0, -1) == 1.0
-    assert cheb_endpoint_derivative(3, 0, -1) == -1.0
+    assert endpoint_derivative(5, 0, +1) == 1.0
+    assert endpoint_derivative(3, 1, +1) == 9.0
+    assert endpoint_derivative(4, 0, -1) == 1.0
+    assert endpoint_derivative(3, 0, -1) == -1.0
 
 
 def test_endpoint_derivative_against_monomial_oracle():
@@ -205,7 +183,7 @@ def test_endpoint_derivative_against_monomial_oracle():
             for sign in (+1, -1):
                 expected = eval_monomial(
                     monomial_derivative(chebyshev_monomial(n), l), float(sign))
-                got = cheb_endpoint_derivative(n, l, sign)
+                got = endpoint_derivative(n, l, sign)
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (n, l, sign)
 
 
@@ -219,28 +197,20 @@ def test_endpoint_derivative_closed_form():
                 closed = 1.0
             for sign in (+1, -1):
                 signed = closed * (1.0 if sign == 1 or (n - l) % 2 == 0 else -1.0)
-                got = cheb_endpoint_derivative(n, l, sign)
+                got = endpoint_derivative(n, l, sign)
                 assert got == pytest.approx(signed, rel=1e-10), (n, l, sign)
 
 
 def test_endpoint_derivative_above_degree_is_zero():
-    assert cheb_endpoint_derivative(3, 4, +1) == 0.0
-    assert cheb_endpoint_derivative(0, 2, -1) == 0.0
+    assert endpoint_derivative(3, 4, +1) == 0.0
+    assert endpoint_derivative(0, 2, -1) == 0.0
 
 
 def test_endpoint_derivative_rejects_negative():
     with pytest.raises(ValueError):
-        cheb_endpoint_derivative(-1, 0, 1)
+        endpoint_derivative_row(-1, 0, 1)
     with pytest.raises(ValueError):
-        cheb_endpoint_derivative(2, -1, 1)
-
-
-def test_endpoint_derivative_row_matches_scalar():
-    for l in (0, 1, 3):
-        for sign in (+1, -1):
-            row = endpoint_derivative_row(12, l, sign)
-            for n in range(13):
-                assert row[n] == pytest.approx(cheb_endpoint_derivative(n, l, sign))
+        endpoint_derivative_row(2, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,7 @@ def test_inverse_collocation_roundtrip_and_interpolation():
     vals = rng.normal(size=nu + 2) + 1j * rng.normal(size=nu + 2)
     coeffs = apply_inverse_collocation(vals)
     assert np.allclose(apply_collocation_matrix(coeffs, grid), vals, atol=1e-12)
-    assert np.allclose(cheb_eval(coeffs, grid.points), vals, atol=1e-12)
+    assert np.allclose(chebval(grid.points, coeffs), vals, atol=1e-12)
 
 
 @pytest.mark.parametrize("nu", [2, 7, 64, 1000, 32768])
@@ -353,29 +323,39 @@ def test_drop_endpoint_values_matches_dct_round_trip(nu):
 # Elementary banded operators
 # ---------------------------------------------------------------------------
 
+def mult_x(n_rows):
+    """Multiplication by x, as the operator builder writes it."""
+    return build_banded_operator(Polynomial([0.0]), Polynomial([0.0, 1.0]), n_rows)
+
+
+def weighted_diff(n_rows):
+    """(1 - x^2) d/dx, as the operator builder writes it."""
+    return build_banded_operator(ONE_MINUS_X2, Polynomial([0.0]), n_rows)
+
+
 def test_mult_x_leading_block():
-    m = mult_x_operator(6)
+    m = mult_x(6)
     assert m.get(0, 1) == 0.5
     assert m.get(1, 0) == 1.0
     assert m.get(1, 2) == 0.5
 
 
 def test_mult_x_column_zero_is_t1():
-    col = mult_x_operator(6).column(0)
+    col = mult_x(6).column(0)
     expected = np.zeros(6)
     expected[1] = 1.0
     assert np.allclose(col, expected)
 
 
 def test_mult_x_column_five():
-    col = mult_x_operator(8).column(5)
+    col = mult_x(8).column(5)
     expected = np.zeros(8)
     expected[4] = expected[6] = 0.5
     assert np.allclose(col, expected)
 
 
 def test_weighted_diff_leading_entries():
-    d = weighted_diff_operator(6)
+    d = weighted_diff(6)
     assert d.get(0, 1) == 0.5
     assert d.get(1, 2) == 1.0
     assert d.get(2, 1) == -0.5
@@ -383,17 +363,17 @@ def test_weighted_diff_leading_entries():
 
 
 def test_weighted_diff_column_zero_is_zero():
-    assert np.allclose(weighted_diff_operator(6).column(0), 0.0)
+    assert np.allclose(weighted_diff(6).column(0), 0.0)
 
 
 def test_weighted_diff_column_action_pointwise():
     # column 10 evaluated as a Chebyshev series must equal (1-x^2) T_10'(x)
     n = 10
-    d = weighted_diff_operator(16)
+    d = weighted_diff(16)
     col = d.column(n)
     x = 0.3
     expected = (1 - x * x) * eval_monomial(monomial_derivative(chebyshev_monomial(n)), x)
-    assert cheb_eval(col, x) == pytest.approx(expected, abs=1e-12)
+    assert chebval(x, col) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +408,7 @@ def test_build_random_operator_column_action():
     b = build_banded_operator(ONE_MINUS_X2, p_mult, 24)
     xs = rng.uniform(-0.99, 0.99, size=12)
     for n in (0, 1, 5, 13):
-        got = cheb_eval(b.column(n), xs)
+        got = chebval(xs, b.column(n))
         expected = operator_on_tn_pointwise(ONE_MINUS_X2, p_mult, n, xs)
         assert np.max(np.abs(got - expected)) <= 1e-11
 
@@ -454,7 +434,7 @@ def test_operator_columns_against_pointwise_large():
     xs = rng.uniform(-1, 1, size=20)
     theta = np.arccos(xs)
     for n in range(0, 61, 6):
-        got = cheb_eval(b.column(n), xs)
+        got = chebval(xs, b.column(n))
         tn = np.cos(n * theta)
         tnp = n * np.sin(n * theta) / np.sin(theta)
         expected = ONE_MINUS_X2(xs) * tnp + p_mult(xs) * tn
@@ -488,7 +468,7 @@ def test_aliasing_identity():
         hi[nu + 1 + l] = 1.0
         lo = np.zeros(nu + 2)
         lo[nu + 1 - l] = 1.0
-        assert np.allclose(cheb_eval(hi, grid.points), cheb_eval(lo, grid.points),
+        assert np.allclose(chebval(grid.points, hi), chebval(grid.points, lo),
                            atol=1e-12)
 
 
@@ -529,8 +509,8 @@ def test_fold_chebyshev_tail_reflects_indices():
     coeffs = rng.normal(size=nu + 9)
     folded = fold_chebyshev_tail(coeffs, nu)
     assert folded.shape == (nu + 2,)
-    assert np.allclose(cheb_eval(folded, grid.points),
-                       cheb_eval(coeffs, grid.points), atol=1e-12)
+    assert np.allclose(chebval(grid.points, folded),
+                       chebval(grid.points, coeffs), atol=1e-12)
 
 
 def test_fold_chebyshev_tail_works_along_last_axis():
@@ -564,6 +544,35 @@ def operator_case(draw):
     return rho, p_mult, n_rows, nu, d
 
 
+def dense_mult_x(n):
+    """x T_0 = T_1 and x T_n = (T_{n-1} + T_{n+1}) / 2, on the first n rows."""
+    k = np.arange(n - 1)
+    x = np.zeros((n, n))
+    x[k, k + 1] = 0.5
+    x[k + 1, k] = 0.5
+    x[1, 0] = 1.0
+    return x
+
+
+def dense_weighted_diff(n):
+    """(1 - x^2) T_n' = (n/2) (T_{n-1} - T_{n+1}), on the first n rows."""
+    k = np.arange(n - 1)
+    d = np.zeros((n, n))
+    d[k, k + 1] = (k + 1) / 2.0
+    d[k + 1, k] = -k / 2.0
+    return d
+
+
+def stencil_via_poly2cheb(p, w):
+    """h[w] = a_0 and h[w +- k] = a_k / 2 for the Chebyshev coefficients a_k of p."""
+    a = poly2cheb(real_if_zero_imag(p.coeffs))
+    h = np.zeros(2 * w + 1, dtype=a.dtype)
+    h[w : w + len(a)] = a / 2.0
+    h[w - len(a) + 1 : w + 1] = a[::-1] / 2.0
+    h[w] = a[0]
+    return h
+
+
 def dense_polynomial_of(p, x):
     out = np.zeros(x.shape, dtype=np.complex128)
     for c in p.coeffs[::-1]:
@@ -580,11 +589,15 @@ def test_closed_form_band_matches_dense_operator_and_fold(case):
     assert b.upper_bw == w == max(0 if rho.is_zero else rho.degree + 1, p_mult.degree)
     real = not (rho.coeffs.imag.any() or p_mult.coeffs.imag.any())
     assert b.data.dtype == (np.float64 if real else np.complex128)
+    # the Horner stencils equal those from numpy's poly2cheb, bit for bit
+    for p, width in ((rho, w + 1), (p_mult, w), (p_mult, w + 3)):
+        got, want = _chebyshev_stencil(p, width), stencil_via_poly2cheb(p, width)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     # rho(X) D + p_mult(X) at a size where the first n_rows columns are exact
     big = n_rows + b.lower_bw + 4
-    x = mult_x_operator(big).to_dense()
-    dx = weighted_diff_operator(big).to_dense()
+    x = dense_mult_x(big)
+    dx = dense_weighted_diff(big)
     exact = (dense_polynomial_of(rho, x) @ dx + dense_polynomial_of(p_mult, x))[:n_rows, :n_rows]
     scale = max(np.max(np.abs(exact)), 1e-300)
     assert np.max(np.abs(b.to_dense() - exact)) <= 1e-13 * scale

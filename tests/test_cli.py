@@ -233,6 +233,34 @@ def test_bench_dense_cap(tmp_path):
     assert methods == {(16, "fast"), (16, "dense"), (32, "fast")}
 
 
+def bessel_config(tmp_path, **overrides):
+    cfg = write_config(tmp_path, type="bessel", gamma=1, a=2.0, **overrides)
+    cfg_data = json.loads(cfg.read_text())
+    cfg_data.pop("g")
+    cfg.write_text(json.dumps(cfg_data))
+    return cfg
+
+
+def test_bench_skips_the_dense_row_over_the_memory_guard(tmp_path):
+    # M = 2 at nu 4096 is under the nu cap, but its dense system (order
+    # 8196, 1025 MiB) is over the guard: the fast row is still written
+    cfg = bessel_config(tmp_path, nu_grid=[4096])
+    out = tmp_path / "bench.csv"
+    code, rows = run_cli(["bench", "--config", cfg, "--out", out,
+                          "--repeats", 1], out_path=out)
+    assert code == 0
+    assert {(int(r["nu"]), r["method"]) for r in rows} == {(4096, "fast")}
+
+
+def test_condition_writes_nan_over_the_memory_guard(tmp_path):
+    cfg = bessel_config(tmp_path, nu_grid=[3000], cond_max_nu=3000)
+    out = tmp_path / "cond.csv"
+    code, rows = run_cli(["condition", "--config", cfg, "--out", out], out_path=out)
+    assert code == 0
+    assert np.isnan(float(rows[0]["cond_full"]))
+    assert np.isfinite(float(rows[0]["cond_banded"]))
+
+
 def test_plotdata_merges_omega_sweeps(tmp_path, monkeypatch):
     monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "50000")
     inputs = []
