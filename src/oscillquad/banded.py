@@ -135,12 +135,6 @@ class BlockPermutation:
     nu: int
     perm: np.ndarray
 
-    @property
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.shape[0])
-        return inv
-
 
 def hockney_permutation(m: int, nu: int) -> BlockPermutation:
     """Permutation that turns a grid of banded blocks into one banded matrix."""

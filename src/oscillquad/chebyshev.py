@@ -1,8 +1,8 @@
 """Chebyshev-basis infrastructure.
 
 Clenshaw-Curtis grids, endpoint derivatives of T_n, DCT-I transforms, and
-banded matrices of the operators ``p_diff(x) d/dx + p_mult(x)`` acting on
-the basis {T_0, T_1, ...}.
+banded matrices of the operators ``(1 - x^2) rho(x) d/dx + p_mult(x)``
+acting on the basis {T_0, T_1, ...}.
 
 A band is written in closed form from Chebyshev coefficients.
 Multiplication by p = sum_k a_k T_k is the symmetric stencil h[0] = a_0,
@@ -95,22 +95,6 @@ class Polynomial:
 
 #: 1 - x^2, the row-scaling prefactor used throughout the collocation setup.
 ONE_MINUS_X2 = Polynomial([1.0, 0.0, -1.0])
-
-
-def poly_divmod(num: Polynomial, den: Polynomial):
-    """Long division ``num = q * den + r`` on monomial coefficient arrays."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = np.array(num.coeffs, dtype=np.complex128)
-    dc = den.coeffs
-    dd = den.degree
-    if num.degree < dd:
-        return Polynomial([0.0]), Polynomial(rem)
-    q = np.zeros(num.degree - dd + 1, dtype=np.complex128)
-    for k in range(num.degree - dd, -1, -1):
-        q[k] = rem[k + dd] / dc[dd]
-        rem[k : k + dd + 1] -= q[k] * dc
-    return Polynomial(q), Polynomial(rem[:dd] if dd > 0 else [0.0])
 
 
 class RationalFunction:
@@ -291,26 +275,6 @@ def apply_inverse_collocation(values) -> np.ndarray:
     return z
 
 
-def drop_endpoint_values(coeffs) -> np.ndarray:
-    """Interpolant of a series' grid values with both endpoint values set to 0.
-
-    Equals ``apply_inverse_collocation`` of ``apply_collocation_matrix(coeffs)``
-    with its first and last entries zeroed, without either DCT: the dropped
-    values are the series sums at x = +1 and x = -1, and C^-1 e_0,
-    C^-1 e_{nu+1} are 1/(nu+1) and (-1)^n/(nu+1) with halved end entries.
-    Works along the last axis, and keeps real coefficients real.
-    """
-    a = np.asarray(coeffs)
-    a = a.astype(np.result_type(a, np.float64), copy=False)
-    n = a.shape[-1]
-    signs = (-1.0) ** np.arange(n)
-    u0 = np.full(n, 1.0 / (n - 1))
-    u0[[0, -1]] *= 0.5
-    at_plus = a.sum(axis=-1, keepdims=True)
-    at_minus = (a * signs).sum(axis=-1, keepdims=True)
-    return a - at_plus * u0 - at_minus * (signs * u0)
-
-
 # ---------------------------------------------------------------------------
 # Banded matrices (diagonal-major storage, LAPACK band layout)
 # ---------------------------------------------------------------------------
@@ -339,49 +303,6 @@ class BandedMatrix:
             if data.shape != (lower_bw + upper_bw + 1, n):
                 raise ValueError("band data has wrong shape")
             self.data = data
-
-    def in_band(self, i: int, j: int) -> bool:
-        return -self.upper_bw <= i - j <= self.lower_bw
-
-    def get(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError("index out of range")
-        if not self.in_band(i, j):
-            return self.data.dtype.type(0)
-        return self.data[self.upper_bw + i - j, j]
-
-    def set(self, i: int, j: int, value) -> None:
-        if not self.in_band(i, j):
-            raise ValueError(f"entry ({i}, {j}) lies outside the band")
-        self.data[self.upper_bw + i - j, j] = value
-
-    @classmethod
-    def identity(cls, n: int, dtype=np.complex128) -> "BandedMatrix":
-        out = cls(n, 0, 0, dtype=dtype)
-        out.data[0, :] = 1.0
-        return out
-
-    @classmethod
-    def from_dense(cls, a, lower_bw: int, upper_bw: int) -> "BandedMatrix":
-        a = np.asarray(a)
-        n = a.shape[0]
-        out = cls(n, lower_bw, upper_bw, dtype=a.dtype)
-        for off in range(-upper_bw, lower_bw + 1):
-            d = np.diagonal(a, -off)
-            j0 = max(0, -off)
-            out.data[upper_bw + off, j0 : j0 + d.shape[0]] = d
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=self.data.dtype)
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            j0 = max(0, -off)
-            j1 = min(self.n, self.n - off)
-            if j0 >= j1:
-                continue
-            js = np.arange(j0, j1)
-            a[js + off, js] = self.data[self.upper_bw + off, j0:j1]
-        return a
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -450,12 +371,11 @@ def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
     return h[1:-1]
 
 
-def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,
+def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
                           n_rows: int) -> BandedMatrix:
-    """Banded matrix of the operator p_diff(x) d/dx + p_mult(x) on {T_n}.
+    """Banded matrix of the operator (1 - x^2) rho(x) d/dx + p_mult(x) on {T_n}.
 
-    ``p_diff`` must be divisible by (1 - x^2).  Writing p_diff = (1-x^2) rho,
-    column n is (n/2) rho (T_{n-1} - T_{n+1}) + p_mult T_n, so with the
+    Column n is (n/2) rho (T_{n-1} - T_{n+1}) + p_mult T_n, so with the
     stencils h of :func:`_chebyshev_stencil` row n + t holds
     (n/2) (h_rho[t+1] - h_rho[t-1]) + h_p[t].  Slots for rows below 0 are
     reflected onto their mirror rows (T_{-k} = T_k) and rows at or past
@@ -463,16 +383,10 @@ def build_banded_operator(p_diff: Polynomial, p_mult: Polynomial,
     infinite operator.  The matrix is float64 when both polynomials have
     real coefficients, complex128 otherwise.
     """
-    if not isinstance(p_diff, Polynomial):
-        p_diff = Polynomial(p_diff)
+    if not isinstance(rho, Polynomial):
+        rho = Polynomial(rho)
     if not isinstance(p_mult, Polynomial):
         p_mult = Polynomial(p_mult)
-    rho = Polynomial([0.0])
-    if not p_diff.is_zero:
-        rho, rem = poly_divmod(p_diff, ONE_MINUS_X2)
-        scale = np.max(np.abs(p_diff.coeffs))
-        if not rem.is_zero and np.max(np.abs(rem.coeffs)) > 1e-12 * scale:
-            raise ValueError("p_diff must be divisible by 1 - x^2")
     w = max(rho.degree + 1 if not rho.is_zero else 0, p_mult.degree)
     if n_rows <= w + 1:
         raise ValueError(

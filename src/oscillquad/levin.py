@@ -66,7 +66,6 @@ from .chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    drop_endpoint_values,
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
@@ -172,14 +171,14 @@ class CollocationEngine:
             np.complex128 if any(p.coeffs.imag.any() for p in polys) else np.float64)
         self.r_vals = self._in_field(system.r(self.grid.points))
 
-        # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range.
-        p_diff = ONE_MINUS_X2 * system.r
+        # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range:
+        # (1-x^2) r d/dx on the diagonal blocks, plus (1-x^2) (r G)^T.
         p_mult = [[ONE_MINUS_X2 * system.r_g[j][i] for j in range(m)] for i in range(m)]
-        max_deg = max(max(p.degree for row in p_mult for p in row), p_diff.degree)
+        max_deg = max(max(p.degree for row in p_mult for p in row), system.r.degree + 2)
         n_build = nu + 2 * s + 2 + max_deg + 4
         zero = Polynomial([0.0])
         blocks_big = [
-            [build_banded_operator(p_diff if i == j else zero, p_mult[i][j], n_build)
+            [build_banded_operator(system.r if i == j else zero, p_mult[i][j], n_build)
              for j in range(m)]
             for i in range(m)
         ]
@@ -224,8 +223,9 @@ class CollocationEngine:
         # projected system (v = e_{k,end} + interior part, against the
         # endpoint columns of the operator) and, for s >= 1, the tail
         # columns: the scaled operator applied to each tail element e_k T_n
-        # (n = nu+2 .. nu+2s+1), aliased onto the grid in coefficient space,
-        # whose grid values with the endpoints dropped need no DCT round trip.
+        # (n = nu+2 .. nu+2s+1), aliased onto the grid in coefficient space.
+        # Every column of the scaled operator vanishes at x = +-1, and the
+        # fold keeps grid values, so these are right-hand sides as they stand.
         ends = [(k, end) for k in range(m) for end in (0, nu + 1)]
         rhs_cols = np.array([self.operator.column(m * end + k).reshape(n_head, m).T
                              for k, end in ends])
@@ -235,7 +235,7 @@ class CollocationEngine:
             self.tail_ops = fold_chebyshev_tail(np.array(
                 [[blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
             ), nu)
-            rhs_cols = np.concatenate([rhs_cols, drop_endpoint_values(self.tail_ops)])
+            rhs_cols = np.concatenate([rhs_cols, self.tail_ops])
         heads = self._solve_interior(-rhs_cols[:, :, 1 : nu + 1])
         self.null_vectors = heads[: 2 * m]
         for col, (k, end) in enumerate(ends):
@@ -419,32 +419,25 @@ def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> np.ndarray:
-    """d^p/dx^p at +1 (row 0) and -1 (row 1) for p = 0..l_max, by repeated
-    differentiation."""
-    values = np.empty((2, l_max + 1), dtype=np.complex128)
-    q = p
-    for l in range(l_max + 1):
-        values[:, l] = q(np.array([1.0, -1.0]))
-        q = q.deriv()
-    return values
-
-
-def _tail_conditions(m: int, s: int):
-    """(component i, order l, endpoint index e) of each tail condition, in row order."""
-    return [(i, l, e) for i in range(m) for l in range(1, s + 1) for e in (0, 1)]
+    """d^l/dx^l p at +1 (row 0) and -1 (row 1) for l = 0..l_max."""
+    poly = np.polynomial.polynomial
+    ends = np.array([1.0, -1.0])
+    return np.stack([poly.polyval(ends, poly.polyder(p.coeffs, l)) for l in range(l_max + 1)],
+                    axis=1)
 
 
 def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
                            f_values: np.ndarray) -> np.ndarray:
-    """d^l [r f_i] at the endpoints, by Leibniz on exact r derivatives;
-    real when they all are."""
+    """d^l [r f_i] at the endpoints, one per tail row in (component i,
+    order l >= 1, end) order, by Leibniz on exact r derivatives; real when
+    they all are."""
     f_ders = [
         [f_values[:, 0]] + [amplitude.derivative(q, +1) for q in range(1, eng.s + 1)],
         [f_values[:, -1]] + [amplitude.derivative(q, -1) for q in range(1, eng.s + 1)],
     ]
     return real_if_zero_imag([
         sum(math.comb(l, p) * eng.r_derivs[e][p] * f_ders[e][l - p][i] for p in range(l + 1))
-        for i, l, e in _tail_conditions(eng.m, eng.s)
+        for i in range(eng.m) for l in range(1, eng.s + 1) for e in (0, 1)
     ])
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.special
@@ -45,6 +44,12 @@ class OscillatorSystem:
     w_plus: np.ndarray
     w_minus: np.ndarray
     config: dict | None = None
+
+    def __post_init__(self):
+        _check_oscillator_data(
+            self.omega, r=self.r.coeffs,
+            rG=np.concatenate([p.coeffs for row in self.r_g for p in row]),
+            w_plus=self.w_plus, w_minus=self.w_minus)
 
     @property
     def d(self) -> int:
@@ -100,6 +105,17 @@ class AmplitudeSpec:
         return table[l - 1]
 
 
+def _check_oscillator_data(omega, **arrays) -> None:
+    """Raise ValueError unless omega is finite and positive and every entry
+    of each named array is finite.  The constructors call it before any
+    arithmetic on omega."""
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values}")
+
+
 def _has_interval_root(p: Polynomial, n_grid: int) -> bool:
     """Grid check for a root of p in [-1, 1]: sign change (real case) or near-zero."""
     x = np.linspace(-1.0, 1.0, n_grid)
@@ -126,9 +142,8 @@ def make_exponential(g, omega: float) -> OscillatorSystem:
     Requires g'(x) != 0 on [-1, 1] (checked on a 1000-point grid);
     stationary points are out of scope and rejected.
     """
+    _check_oscillator_data(omega)
     g = g if isinstance(g, Polynomial) else Polynomial(g)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     gp = g.deriv()
     _check_no_roots(gp, 1000, "phase derivative g'", StationaryPointError)
     r_g = ((1j * omega * gp,),)
@@ -139,19 +154,15 @@ def make_exponential(g, omega: float) -> OscillatorSystem:
                             r_g=r_g, w_plus=w_plus, w_minus=w_minus, config=cfg)
 
 
-def make_bessel(gamma: int, a: float, omega: float,
-                bessel_endpoint_values: Sequence[float] | None = None) -> OscillatorSystem:
+def make_bessel(gamma: int, a: float, omega: float) -> OscillatorSystem:
     """Two-component system for the weight w = (J_gamma, J_gamma')(omega(x+a)).
 
     ``a`` must satisfy |a| > 1 so x + a never vanishes on [-1, 1].  The
-    endpoint values (J_gamma(omega(1+a)), J_gamma'(omega(1+a)),
-    J_gamma(omega(-1+a)), J_gamma'(omega(-1+a))) may be supplied; by
-    default they come from :func:`bessel_eval`.
+    endpoint values w(+-1) come from :func:`bessel_eval`.
     """
+    _check_oscillator_data(omega)
     if abs(a) <= 1:
         raise PoleInIntervalError(f"need |a| > 1 to keep x + a nonzero, got a={a}")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     gamma = int(gamma)
     xa = Polynomial([a, 1.0])
     xa2 = xa * xa
@@ -160,11 +171,8 @@ def make_bessel(gamma: int, a: float, omega: float,
         (Polynomial([0.0]), omega * xa2),
         ((-omega) * xa2 + Polynomial([gamma * gamma / omega]), -1.0 * xa),
     )
-    if bessel_endpoint_values is None:
-        jp, jpp = _bessel_signed(gamma, omega * (1.0 + a))
-        jm, jmp = _bessel_signed(gamma, omega * (-1.0 + a))
-        bessel_endpoint_values = (jp, jpp, jm, jmp)
-    jp, jpp, jm, jmp = bessel_endpoint_values
+    jp, jpp = _bessel_signed(gamma, omega * (1.0 + a))
+    jm, jmp = _bessel_signed(gamma, omega * (-1.0 + a))
     cfg = {"type": "bessel", "gamma": gamma, "a": float(a), "omega": float(omega)}
     return OscillatorSystem(dim=2, omega=float(omega), r=r, r_g=r_g,
                             w_plus=np.array([jp, jpp], dtype=np.complex128),
@@ -172,9 +180,11 @@ def make_bessel(gamma: int, a: float, omega: float,
                             config=cfg)
 
 
-def _bessel_signed(gamma: int, z: float):
-    """J_gamma and J_gamma' at possibly negative real argument (integer order)."""
-    if z > 0:
+def _bessel_signed(gamma: int, z):
+    """J_gamma and J_gamma' (integer order) at real arguments ``z`` of one
+    sign, by J(-z) = (-1)^gamma J(z) for negative ones."""
+    z = np.asarray(z, dtype=np.float64)
+    if np.all(z > 0):
         return bessel_eval(gamma, z)
     j, jp = bessel_eval(gamma, -z)
     sgn = -1.0 if gamma % 2 else 1.0
@@ -295,7 +305,6 @@ def parse_oscillator_config(config, omega: float | None = None) -> OscillatorSys
         if omega is not None and omega != config["omega"]:
             raise ValueError("custom systems cannot be rebuilt at a new omega")
         r = _poly_from_json(config["r"])
-        _check_no_roots(r, 1001, "custom r", PoleInIntervalError)
         r_g = tuple(tuple(_poly_from_json(p) for p in row) for row in config["rG"])
         m = len(r_g)
         if any(len(row) != m for row in r_g):
@@ -304,9 +313,12 @@ def parse_oscillator_config(config, omega: float | None = None) -> OscillatorSys
         w_minus = np.array([complex(c[0], c[1]) for c in config["w_minus"]])
         if w_plus.shape != (m,) or w_minus.shape != (m,):
             raise ValueError("w_plus / w_minus must have one entry per component")
-        return OscillatorSystem(dim=m, omega=w, r=r, r_g=r_g,
-                                w_plus=w_plus, w_minus=w_minus,
-                                config=dict(config))
+        system = OscillatorSystem(dim=m, omega=w, r=r, r_g=r_g,
+                                  w_plus=w_plus, w_minus=w_minus,
+                                  config=dict(config))
+        # after the constructor's finiteness check, so r is finite when sampled
+        _check_no_roots(r, 1001, "custom r", PoleInIntervalError)
+        return system
     raise ValueError(f"unknown oscillator type {kind!r}")
 
 
@@ -322,15 +334,7 @@ def weight_values(sys: OscillatorSystem, x) -> np.ndarray:
         g = _poly_from_json(cfg["g"])
         return np.exp(1j * sys.omega * g(x).real)[None, :]
     if cfg.get("type") == "bessel":
-        a = cfg["a"]
-        gamma = cfg["gamma"]
-        z = sys.omega * (x + a)
-        if a > 1:
-            j, jp = bessel_eval(gamma, z)
-        else:
-            j, jp = bessel_eval(gamma, -z)
-            sgn = -1.0 if gamma % 2 else 1.0
-            j, jp = sgn * j, -sgn * jp
+        j, jp = _bessel_signed(cfg["gamma"], sys.omega * (x + cfg["a"]))
         return np.stack([j, jp]).astype(np.complex128)
     raise ValueError("interior weight values are only known for the "
                      "exponential and bessel families")

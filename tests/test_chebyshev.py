@@ -24,13 +24,13 @@ from oscillquad.chebyshev import (
     clenshaw_curtis_points,
     dct1_forward,
     dct1_inverse,
-    drop_endpoint_values,
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
-    poly_divmod,
     real_if_zero_imag,
 )
+
+from conftest import band_from_dense, band_to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +99,12 @@ def test_polynomial_normalization_and_horner():
     assert np.allclose(r(xs), 1 - xs**2)
 
 
-def test_polynomial_arithmetic_and_divmod():
+def test_polynomial_arithmetic():
     a = Polynomial([1.0, 2.0, 3.0])
     b = Polynomial([-1.0, 1.0])
     prod = a * b
     xs = np.linspace(-2, 2, 9)
     assert np.allclose(prod(xs), a(xs) * b(xs))
-    q, rem = poly_divmod(prod, b)
-    assert np.allclose(q.coeffs, a.coeffs)
-    assert rem.is_zero
-    q2, r2 = poly_divmod(a, b)
-    assert np.allclose(q2(xs) * b(xs) + r2(xs), a(xs))
 
 
 def test_rational_function_derivatives_exact():
@@ -306,19 +301,6 @@ def test_inverse_collocation_of_real_values_equals_the_complex_transform(nu):
         assert np.array_equal(got, complex_transform(values))
 
 
-@pytest.mark.parametrize("nu", [2, 6, 64, 1000, 8192])
-def test_drop_endpoint_values_matches_dct_round_trip(nu):
-    # closed form of C^-1 (C a with both endpoint values zeroed)
-    rng = np.random.default_rng(nu)
-    a = rng.normal(size=(3, nu + 2)) + 1j * rng.normal(size=(3, nu + 2))
-    got = drop_endpoint_values(a)
-    for row, want_from in zip(got, a):
-        vals = apply_collocation_matrix(want_from)
-        vals[0] = vals[-1] = 0.0
-        want = apply_inverse_collocation(vals)
-        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want_from))
-
-
 # ---------------------------------------------------------------------------
 # Elementary banded operators
 # ---------------------------------------------------------------------------
@@ -330,14 +312,14 @@ def mult_x(n_rows):
 
 def weighted_diff(n_rows):
     """(1 - x^2) d/dx, as the operator builder writes it."""
-    return build_banded_operator(ONE_MINUS_X2, Polynomial([0.0]), n_rows)
+    return build_banded_operator(Polynomial([1.0]), Polynomial([0.0]), n_rows)
 
 
 def test_mult_x_leading_block():
-    m = mult_x(6)
-    assert m.get(0, 1) == 0.5
-    assert m.get(1, 0) == 1.0
-    assert m.get(1, 2) == 0.5
+    m = band_to_dense(mult_x(6))
+    assert m[0, 1] == 0.5
+    assert m[1, 0] == 1.0
+    assert m[1, 2] == 0.5
 
 
 def test_mult_x_column_zero_is_t1():
@@ -355,11 +337,11 @@ def test_mult_x_column_five():
 
 
 def test_weighted_diff_leading_entries():
-    d = weighted_diff(6)
-    assert d.get(0, 1) == 0.5
-    assert d.get(1, 2) == 1.0
-    assert d.get(2, 1) == -0.5
-    assert d.get(2, 3) == 1.5
+    d = band_to_dense(weighted_diff(6))
+    assert d[0, 1] == 0.5
+    assert d[1, 2] == 1.0
+    assert d[2, 1] == -0.5
+    assert d[2, 3] == 1.5
 
 
 def test_weighted_diff_column_zero_is_zero():
@@ -382,14 +364,14 @@ def test_weighted_diff_column_action_pointwise():
 
 def test_build_identity_operator():
     b = build_banded_operator(Polynomial([0.0]), Polynomial([1.0]), 8)
-    assert np.allclose(b.to_dense(), np.eye(8))
+    assert np.allclose(band_to_dense(b), np.eye(8))
 
 
 def test_build_linear_phase_operator_entries():
     # (x^2 - 1) d/dx + i w (x^2 - 1): closed-form leading 6x6 entries
     w = 100.0
     minus = Polynomial([-1.0, 0.0, 1.0])
-    b = build_banded_operator(minus, 1j * w * minus, 10)
+    b = build_banded_operator(Polynomial([-1.0]), 1j * w * minus, 10)
     iw = 1j * w
     expected = np.array([
         [-iw / 2, -0.5,    iw / 4,  0,       0,       0],
@@ -399,13 +381,13 @@ def test_build_linear_phase_operator_entries():
         [0,       0,       iw / 4,  1.5,     -iw / 2, -2.5],
         [0,       0,       0,       iw / 4,  2.0,     -iw / 2],
     ])
-    assert np.allclose(b.to_dense()[:6, :6], expected, atol=1e-12 * w)
+    assert np.allclose(band_to_dense(b)[:6, :6], expected, atol=1e-12 * w)
 
 
 def test_build_random_operator_column_action():
     rng = np.random.default_rng(11)
     p_mult = Polynomial(rng.normal(size=4) + 1j * rng.normal(size=4))
-    b = build_banded_operator(ONE_MINUS_X2, p_mult, 24)
+    b = build_banded_operator(Polynomial([1.0]), p_mult, 24)
     xs = rng.uniform(-0.99, 0.99, size=12)
     for n in (0, 1, 5, 13):
         got = chebval(xs, b.column(n))
@@ -413,14 +395,9 @@ def test_build_random_operator_column_action():
         assert np.max(np.abs(got - expected)) <= 1e-11
 
 
-def test_build_operator_rejects_nondivisible_prefactor():
-    with pytest.raises(ValueError):
-        build_banded_operator(Polynomial([0.0, 1.0]), Polynomial([1.0]), 8)
-
-
 def test_build_operator_rejects_tiny_n_rows():
     with pytest.raises(ValueError):
-        build_banded_operator(ONE_MINUS_X2, Polynomial(np.ones(6)), 4)
+        build_banded_operator(Polynomial([1.0]), Polynomial(np.ones(6)), 4)
 
 
 def test_operator_columns_against_pointwise_large():
@@ -430,7 +407,7 @@ def test_operator_columns_against_pointwise_large():
     rng = np.random.default_rng(3)
     w = 100.0
     p_mult = 1j * w * ONE_MINUS_X2  # linear phase
-    b = build_banded_operator(ONE_MINUS_X2, p_mult, 70)
+    b = build_banded_operator(Polynomial([1.0]), p_mult, 70)
     xs = rng.uniform(-1, 1, size=20)
     theta = np.arccos(xs)
     for n in range(0, 61, 6):
@@ -446,7 +423,7 @@ def test_scalar_bandwidth_bound():
     for d in (1, 2, 3, 5):
         g = Polynomial(np.arange(1, d + 2, dtype=float))  # degree d
         p_mult = 1j * 7.0 * (ONE_MINUS_X2 * g.deriv())
-        b = build_banded_operator(ONE_MINUS_X2, p_mult, 40)
+        b = build_banded_operator(Polynomial([1.0]), p_mult, 40)
         assert b.lower_bw + b.upper_bw + 1 <= 2 * d + 3
 
 
@@ -477,10 +454,10 @@ def test_fold_is_truncation_when_no_rows_alias():
     nu = 20
     b = build_banded_operator(Polynomial([0.0]), Polynomial([0.5, 0.25]), nu + 8)
     folded = fold_operator(b, nu, 2)
-    dense = b.to_dense()[: nu + 2, : nu + 2]
+    dense = band_to_dense(b)[: nu + 2, : nu + 2]
     # columns that can reach aliased rows live near the right edge; the rest
     # must be untouched
-    assert np.allclose(folded.to_dense()[:, : nu - 3], dense[:, : nu - 3])
+    assert np.allclose(band_to_dense(folded)[:, : nu - 3], dense[:, : nu - 3])
 
 
 def test_fold_matches_direct_operator_collocation():
@@ -488,7 +465,7 @@ def test_fold_matches_direct_operator_collocation():
     nu, w = 8, 100.0
     grid = clenshaw_curtis_points(nu)
     p_mult = 1j * w * ONE_MINUS_X2
-    b = build_banded_operator(ONE_MINUS_X2, p_mult, nu + 10)
+    b = build_banded_operator(Polynomial([1.0]), p_mult, nu + 10)
     folded = fold_operator(b, nu, b.lower_bw - 1)
     for n in range(nu + 2):
         lhs = apply_collocation_matrix(folded.column(n), grid)
@@ -497,7 +474,7 @@ def test_fold_matches_direct_operator_collocation():
 
 
 def test_fold_rejects_small_nu():
-    b = build_banded_operator(ONE_MINUS_X2, 1j * ONE_MINUS_X2, 20)
+    b = build_banded_operator(Polynomial([1.0]), 1j * ONE_MINUS_X2, 20)
     with pytest.raises(UnsupportedRegimeError):
         fold_operator(b, 2, 4)
 
@@ -584,7 +561,7 @@ def dense_polynomial_of(p, x):
 @given(operator_case())
 def test_closed_form_band_matches_dense_operator_and_fold(case):
     rho, p_mult, n_rows, nu, d = case
-    b = build_banded_operator(ONE_MINUS_X2 * rho, p_mult, n_rows)
+    b = build_banded_operator(rho, p_mult, n_rows)
     w = b.lower_bw
     assert b.upper_bw == w == max(0 if rho.is_zero else rho.degree + 1, p_mult.degree)
     real = not (rho.coeffs.imag.any() or p_mult.coeffs.imag.any())
@@ -600,9 +577,9 @@ def test_closed_form_band_matches_dense_operator_and_fold(case):
     dx = dense_weighted_diff(big)
     exact = (dense_polynomial_of(rho, x) @ dx + dense_polynomial_of(p_mult, x))[:n_rows, :n_rows]
     scale = max(np.max(np.abs(exact)), 1e-300)
-    assert np.max(np.abs(b.to_dense() - exact)) <= 1e-13 * scale
+    assert np.max(np.abs(band_to_dense(b) - exact)) <= 1e-13 * scale
     # slots addressing rows outside the matrix stay zero, as LAPACK expects
-    assert np.array_equal(b.data, BandedMatrix.from_dense(b.to_dense(), w, w).data)
+    assert np.array_equal(b.data, band_from_dense(band_to_dense(b), w, w).data)
 
     if n_rows < nu + d + 3:
         return
@@ -612,39 +589,39 @@ def test_closed_form_band_matches_dense_operator_and_fold(case):
         aliased[k] += exact[2 * (nu + 1) - k, : nu + 2]
     folded = fold_operator(b, nu, d)
     assert folded.data.dtype == b.data.dtype
-    assert np.max(np.abs(folded.to_dense() - aliased)) <= 1e-13 * scale
-    assert np.array_equal(folded.data, BandedMatrix.from_dense(
-        folded.to_dense(), folded.lower_bw, folded.upper_bw).data)
+    assert np.max(np.abs(band_to_dense(folded) - aliased)) <= 1e-13 * scale
+    assert np.array_equal(folded.data, band_from_dense(
+        band_to_dense(folded), folded.lower_bw, folded.upper_bw).data)
 
 
 # ---------------------------------------------------------------------------
 # BandedMatrix container behaviour
 # ---------------------------------------------------------------------------
 
-def test_banded_matrix_get_set_and_dense_agreement():
+def test_banded_matrix_layout_and_dense_agreement():
+    # entry (i, j) is stored at data[upper_bw + i - j, j], where the dense
+    # reference and column() both read it
     rng = np.random.default_rng(0)
     a = BandedMatrix(7, 2, 1)
     entries = {}
     for i in range(7):
-        for j in range(7):
-            if a.in_band(i, j):
-                v = complex(rng.normal(), rng.normal())
-                a.set(i, j, v)
-                entries[(i, j)] = v
-    dense = a.to_dense()
+        for j in range(max(0, i - 2), min(7, i + 2)):
+            v = complex(rng.normal(), rng.normal())
+            a.data[1 + i - j, j] = v
+            entries[(i, j)] = v
+    dense = band_to_dense(a)
     for i in range(7):
         for j in range(7):
             assert dense[i, j] == entries.get((i, j), 0.0)
-            assert a.get(i, j) == entries.get((i, j), 0.0)
-    with pytest.raises(ValueError):
-        a.set(0, 5, 1.0)
+    for j in range(7):
+        assert np.array_equal(a.column(j), dense[:, j])
 
 
 def test_banded_matvec_matches_dense():
     rng = np.random.default_rng(4)
-    a = BandedMatrix.from_dense(np.triu(np.tril(rng.normal(size=(9, 9)), 2), -1), 2, 1)
+    a = band_from_dense(np.triu(np.tril(rng.normal(size=(9, 9)), 2), -1), 2, 1)
     v = rng.normal(size=9)
-    assert np.allclose(a.matvec(v), a.to_dense() @ v)
+    assert np.allclose(a.matvec(v), band_to_dense(a) @ v)
 
 
 @st.composite
@@ -659,28 +636,28 @@ def banded_and_range(draw):
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dense = np.triu(np.tril(dense, lower_bw), -upper_bw)
-    return BandedMatrix.from_dense(dense, lower_bw, upper_bw), lo, hi
+    return band_from_dense(dense, lower_bw, upper_bw), lo, hi
 
 
 @settings(max_examples=200, deadline=None)
 @given(banded_and_range())
 def test_column_and_principal_submatrix_match_dense_slices(case):
     a, lo, hi = case
-    dense = a.to_dense()
+    dense = band_to_dense(a)
     for j in range(a.n):
         assert np.array_equal(a.column(j), dense[:, j])
     sub = a.principal_submatrix(lo, hi)
     assert (sub.n, sub.lower_bw, sub.upper_bw) == (hi - lo, a.lower_bw, a.upper_bw)
-    assert np.array_equal(sub.to_dense(), dense[lo:hi, lo:hi])
+    assert np.array_equal(band_to_dense(sub), dense[lo:hi, lo:hi])
     # slots addressing rows outside the submatrix are cleared, as LAPACK expects
-    expected = BandedMatrix.from_dense(dense[lo:hi, lo:hi], a.lower_bw, a.upper_bw)
+    expected = band_from_dense(dense[lo:hi, lo:hi], a.lower_bw, a.upper_bw)
     assert np.array_equal(sub.data, expected.data)
 
 
 def test_principal_submatrix_full_range_and_wide_band():
-    a = BandedMatrix.from_dense(np.arange(1.0, 17.0).reshape(4, 4), 5, 6)
-    dense = a.to_dense()
-    assert np.array_equal(a.principal_submatrix(0, 4).to_dense(), dense)
-    assert np.array_equal(a.principal_submatrix(1, 3).to_dense(), dense[1:3, 1:3])
+    a = band_from_dense(np.arange(1.0, 17.0).reshape(4, 4), 5, 6)
+    dense = band_to_dense(a)
+    assert np.array_equal(band_to_dense(a.principal_submatrix(0, 4)), dense)
+    assert np.array_equal(band_to_dense(a.principal_submatrix(1, 3)), dense[1:3, 1:3])
     assert np.array_equal(a.principal_submatrix(2, 3).data[:, 0],
                           np.eye(12)[6] * dense[2, 2])

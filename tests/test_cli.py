@@ -192,6 +192,15 @@ def test_sweep_nu_bessel_decay(tmp_path, monkeypatch):
     assert errs[128] <= 1e-7
 
 
+def test_custom_oscillator_with_zero_omega_is_config_error(tmp_path):
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({
+        "type": "custom", "r": [1.0], "rG": [[[0.0, [0.0, 100.0]]]],
+        "w_plus": [[1.0, 0.0]], "w_minus": [[1.0, 0.0]], "omega": 0.0,
+        "amplitude": "one", "nu": 16, "s": 0}))
+    assert main(["quad", "--config", str(cfg)]) == 2
+
+
 def test_custom_oscillator_sweep_rejected(tmp_path):
     cfg = tmp_path / "custom.json"
     cfg.write_text(json.dumps({

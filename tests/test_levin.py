@@ -419,6 +419,34 @@ def engine_system(m):
     return make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
 
 
+TAIL_SYSTEMS = {
+    "exp_linear": lambda: make_exponential([0.0, 1.0], 100.0),
+    "exp_cubic": lambda: make_exponential([0.0, 1.5, 0.3, -0.2], 80.0),
+    "bessel": lambda: make_bessel(1, -2.5, 100.0),
+    "custom_r": lambda: OscillatorSystem(
+        dim=1, omega=150.0, r=Polynomial([3.0, 1.0, 0.2]),
+        r_g=((150j * Polynomial([1.0, 0.0, 0.5]),),),
+        w_plus=np.array([0.3 - 0.7j]), w_minus=np.array([1.1 + 0.2j])),
+}
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("name", sorted(TAIL_SYSTEMS))
+def test_tail_columns_vanish_at_both_endpoints(name, s):
+    # The (1 - x^2)-scaled operator applied to any T_n vanishes at x = +-1,
+    # and the fold keeps grid values, so every tail column's series sums to
+    # zero at +1 (sum) and -1 (alternating sum), to rounding: the tail
+    # right-hand sides need no endpoint correction.
+    eng = CollocationEngine(TAIL_SYSTEMS[name](), 64, s)
+    assert eng.tail_ops.shape == (eng.m * 2 * s, eng.m, 66)
+    signs = (-1.0) ** np.arange(66)
+    for col in eng.tail_ops.reshape(-1, 66):
+        bound = 64 * np.finfo(np.float64).eps * np.sum(np.abs(col))
+        assert bound > 0
+        assert abs(col.sum()) <= bound
+        assert abs(col @ signs) <= bound
+
+
 @pytest.mark.parametrize("m,s", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_reordered_band_equals_the_per_block_construction(m, s):
     # the projected system taken from the one interleaved operator equals,
@@ -428,7 +456,7 @@ def test_reordered_band_equals_the_per_block_construction(m, s):
     eng = CollocationEngine(sys, nu, s)
     p_mult = [[ONE_MINUS_X2 * sys.r_g[j][i] for j in range(m)] for i in range(m)]
     max_deg = max(max(p.degree for row in p_mult for p in row), sys.r.degree + 2)
-    big = [[build_banded_operator(ONE_MINUS_X2 * sys.r if i == j else Polynomial([0.0]),
+    big = [[build_banded_operator(sys.r if i == j else Polynomial([0.0]),
                                   p_mult[i][j], nu + 2 * s + 6 + max_deg)
             for j in range(m)] for i in range(m)]
     depth = max(b.lower_bw for row in big for b in row) - 1
@@ -678,8 +706,8 @@ def test_unresolved_border_direction_is_left_out(monkeypatch):
     expected = 3.5837508581565306e-05j  # oracle_value at 2e6 points
     build = levin.build_banded_operator
     for ulps in (0, 1, -1):
-        def nudged(p_diff, p_mult, n_rows, ulps=ulps):
-            b = build(p_diff, p_mult, n_rows)
+        def nudged(rho, p_mult, n_rows, ulps=ulps):
+            b = build(rho, p_mult, n_rows)
             b.data[b.upper_bw, 1] += 1j * ulps * np.spacing(b.data[b.upper_bw, 1].imag)
             return b
 

@@ -1,0 +1,53 @@
+"""The library keeps no routine that only its tests call."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import oscillquad
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oscillquad"
+
+
+def definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of each class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}"
+
+
+def referenced_names(paths) -> set[str]:
+    """Every Name, Attribute and import alias used in the files under ``paths``."""
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+                if node.asname:
+                    names.add(node.asname)
+    return names
+
+
+def test_every_library_routine_has_a_caller_outside_the_tests():
+    users = [p for d in ("src", "benchmarks", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = referenced_names(users) | set(oscillquad.__all__)
+    unused = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in definitions(ast.parse(module.read_text()))
+        if name.rsplit(".", 1)[-1] not in used
+    ]
+    assert not unused, f"only tests call: {unused}"

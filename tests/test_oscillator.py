@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,11 +97,35 @@ def test_bessel_negative_offset_uses_reflection():
     assert sys.w_plus[0] == pytest.approx(-j30, abs=1e-13)
 
 
-def test_explicit_endpoint_values_are_honoured():
-    vals = (0.1, 0.2, 0.3, 0.4)
-    sys = make_bessel(1, 2.0, 50.0, bessel_endpoint_values=vals)
-    assert sys.w_plus[0] == 0.1 and sys.w_plus[1] == 0.2
-    assert sys.w_minus[0] == 0.3 and sys.w_minus[1] == 0.4
+CUSTOM = {"type": "custom", "r": [1.0], "rG": [[[0.0, [0.0, 5.0]]]],
+          "w_plus": [[1.0, 0.0]], "w_minus": [[1.0, 0.0]], "omega": 5.0}
+
+BUILDERS = {
+    "exponential": lambda omega: make_exponential([0.0, 1.0], omega),
+    "bessel": lambda omega: make_bessel(1, 2.0, omega),
+    "custom": lambda omega: parse_oscillator_config(dict(CUSTOM, omega=omega)),
+    "direct": lambda omega: OscillatorSystem(
+        dim=1, omega=omega, r=Polynomial([1.0]), r_g=((Polynomial([0.0, 1j]),),),
+        w_plus=np.ones(1, dtype=complex), w_minus=np.ones(1, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("omega", [0.0, -5.0, math.nan, math.inf])
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_bad_omega_is_rejected_before_any_arithmetic(family, omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            BUILDERS[family](omega)
+
+
+@pytest.mark.parametrize("field,value", [("r", [math.nan]), ("rG", [[[0.0, math.nan]]]),
+                                         ("w_plus", [[math.nan, 0.0]])])
+def test_non_finite_custom_data_is_rejected(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            parse_oscillator_config(dict(CUSTOM, **{field: value}))
 
 
 # ---------------------------------------------------------------------------
