@@ -1,7 +1,9 @@
 """Built-in amplitude registry.
 
-Names resolve to :class:`AmplitudeSpec` instances with closed-form endpoint
-derivative tables (no finite differences anywhere):
+Names resolve to :class:`AmplitudeSpec` instances with endpoint derivative
+tables in closed form, or for rational amplitudes from Leibniz's rule on
+num = f den (``RationalFunction.endpoint_derivatives``); no finite
+differences anywhere:
 
 * ``one``            -- f = 1 in the first component
 * ``cos``            -- f = cos(x) in the first component
@@ -49,9 +51,7 @@ def rational_amplitude(num: Polynomial, den: Polynomial, dim: int,
                        name: str = "") -> AmplitudeSpec:
     """Scalar rational amplitude in the first component, exact derivatives."""
     rat = RationalFunction(num, den)
-    plus = rat.derivatives_at(1.0, MAX_DERIVATIVE_ORDER)[1:]
-    minus = rat.derivatives_at(-1.0, MAX_DERIVATIVE_ORDER)[1:]
-    dp, dm = _tables_first_component(dim, plus, minus)
+    dp, dm = _tables_first_component(dim, *rat.endpoint_derivatives(MAX_DERIVATIVE_ORDER)[:, 1:])
 
     def f(x):
         return rat(np.asarray(x, dtype=np.float64)).astype(np.complex128)
@@ -88,11 +88,8 @@ def manufactured_amplitude(system: OscillatorSystem, n: int) -> AmplitudeSpec:
     def make_f(rat):
         return lambda x: rat(np.asarray(x, dtype=np.float64)).astype(np.complex128)
 
-    dp = np.zeros((MAX_DERIVATIVE_ORDER, m), dtype=np.complex128)
-    dm = np.zeros((MAX_DERIVATIVE_ORDER, m), dtype=np.complex128)
-    for i, rat in enumerate(rats):
-        dp[:, i] = rat.derivatives_at(1.0, MAX_DERIVATIVE_ORDER)[1:]
-        dm[:, i] = rat.derivatives_at(-1.0, MAX_DERIVATIVE_ORDER)[1:]
+    tables = np.array([rat.endpoint_derivatives(MAX_DERIVATIVE_ORDER)[:, 1:] for rat in rats])
+    dp, dm = tables.transpose(1, 2, 0)
     return AmplitudeSpec(components=tuple(make_f(r) for r in rats),
                          deriv_plus=dp, deriv_minus=dm, name=f"manufactured:{n}")
 

@@ -1,8 +1,8 @@
 """Chebyshev-basis infrastructure.
 
-Clenshaw-Curtis grids, endpoint derivatives of T_n, DCT-I transforms, and
-banded matrices of the operators ``(1 - x^2) rho(x) d/dx + p_mult(x)``
-acting on the basis {T_0, T_1, ...}.
+Clenshaw-Curtis grids, endpoint derivatives of T_n, of polynomials and of
+rational functions, DCT-I transforms, and banded matrices of the operators
+``(1 - x^2) rho(x) d/dx + p_mult(x)`` acting on the basis {T_0, T_1, ...}.
 
 A band is written in closed form from Chebyshev coefficients.
 Multiplication by p = sum_k a_k T_k is the symmetric stencil h[0] = a_0,
@@ -18,6 +18,7 @@ to be treated as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,17 @@ class Polynomial:
             return Polynomial([0.0])
         return Polynomial(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
 
+    def endpoint_derivatives(self, l_max: int) -> np.ndarray:
+        """d^l/dx^l at +1 (row 0) and -1 (row 1) for l = 0..l_max, by Horner
+        on the exact derivative coefficients; orders above the degree are 0."""
+        ends = np.array([1.0, -1.0])
+        out = np.zeros((2, l_max + 1), dtype=np.complex128)
+        c = self.coeffs
+        for l in range(min(l_max, self.degree) + 1):
+            out[:, l] = np.polynomial.polynomial.polyval(ends, c)
+            c = c[1:] * np.arange(1, len(c))
+        return out
+
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return Polynomial(np.convolve(self.coeffs, other.coeffs))
@@ -98,45 +110,35 @@ ONE_MINUS_X2 = Polynomial([1.0, 0.0, -1.0])
 
 
 class RationalFunction:
-    """num(x) / den(x)^power, used for oscillator matrix entries.
+    """num(x) / den(x), used for oscillator matrix entries and amplitudes.
 
-    Derivatives are formed symbolically by the quotient rule with the
-    denominator kept as a power of the base (degree grows linearly, not
-    geometrically), so endpoint derivative values are exact up to rounding
-    and never overflow for moderate orders.  No finite differences.
+    Endpoint derivatives come from Leibniz's rule on num = f den, solved
+    order by order from the exact polynomial derivatives of num and den at
+    +-1, so they are exact up to rounding.  No finite differences.
     """
 
-    __slots__ = ("num", "den", "power")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial | None = None,
-                 power: int = 1):
-        self.num = num if isinstance(num, Polynomial) else Polynomial(num)
-        self.den = den if isinstance(den, Polynomial) else Polynomial(den if den is not None else [1.0])
-        self.power = int(power)
-        if self.den.is_zero:
+    def __init__(self, num: Polynomial, den: Polynomial):
+        if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if self.power < 0:
-            raise ValueError("denominator power must be nonnegative")
+        self.num = num
+        self.den = den
 
     def __call__(self, x):
-        return self.num(x) / self.den(x) ** self.power
+        return self.num(x) / self.den(x)
 
-    def deriv(self) -> "RationalFunction":
-        # (n / d^k)' = (n' d - k n d') / d^(k+1)
-        return RationalFunction(
-            self.num.deriv() * self.den - self.power * (self.num * self.den.deriv()),
-            self.den,
-            self.power + 1,
-        )
-
-    def derivatives_at(self, x: float, l_max: int) -> np.ndarray:
-        """Values of d^l/dx^l at ``x`` for l = 0..l_max."""
-        out = np.empty(l_max + 1, dtype=np.complex128)
-        f = self
+    def endpoint_derivatives(self, l_max: int) -> np.ndarray:
+        """d^l/dx^l at +1 (row 0) and -1 (row 1) for l = 0..l_max:
+        f^(l) = (num^(l) - sum_{p=1..l} C(l, p) den^(p) f^(l-p)) / den."""
+        num = self.num.endpoint_derivatives(l_max)
+        den = self.den.endpoint_derivatives(l_max)
+        out = np.empty_like(num)
         for l in range(l_max + 1):
-            out[l] = f(x)
-            if l < l_max:
-                f = f.deriv()
+            acc = num[:, l].copy()
+            for p in range(1, l + 1):
+                acc -= math.comb(l, p) * den[:, p] * out[:, l - p]
+            out[:, l] = acc / den[:, 0]
         return out
 
 

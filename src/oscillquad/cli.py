@@ -2,7 +2,7 @@
 benchmarks, and condition-number studies, all emitting CSV.
 
     oscillquad quad        --config cfg.json [--out out.csv] [--method fast|dense|oracle]
-    oscillquad sweep-omega --config cfg.json [--out out.csv] [--parallel N]
+    oscillquad sweep-omega --config cfg.json [--out out.csv] [--method fast|dense] [--parallel N]
     oscillquad sweep-nu    --config cfg.json [--out out.csv] [--parallel N]
     oscillquad bench       --config cfg.json [--out out.csv] [--repeats N]
     oscillquad condition   --config cfg.json [--out out.csv]
@@ -11,10 +11,12 @@ benchmarks, and condition-number studies, all emitting CSV.
 The config is one flat JSON object: the oscillator schema (type
 exponential/bessel/custom) plus run keys ``amplitude``, ``nu``, ``s``,
 ``omega`` and, for sweeps, ``omega_grid`` ({"log10_from": a, "log10_to": b,
-"points": n}) or ``nu_grid`` (list of even integers).  Exit codes: 2 for
-configuration errors, 3 for solver failures.  Every command is
-deterministic given its config (timings aside); rows are emitted in sorted
-parameter order regardless of worker scheduling.
+"points": n}) or ``nu_grid`` (list of even integers).  Each command takes
+only the options shown for it; ``--repeats`` and ``--parallel`` must be at
+least 1.  Exit codes: 2 for usage and configuration errors, 3 for solver
+failures.  Every command is deterministic given its config (timings
+aside); rows are emitted in sorted parameter order regardless of worker
+scheduling.
 """
 
 from __future__ import annotations
@@ -160,11 +162,10 @@ QUAD_HEADER = ["method", "omega", "nu", "s", "value_re", "value_im",
 
 def cmd_sweep_omega(config: dict, args) -> list[list[str]]:
     grid = _omega_grid(config)
-    method = args.method if args.method != "oracle" else "fast"
 
     def run(omega: float):
         problem = _build_problem(config, omega=omega)
-        result = _solve(problem, method)
+        result = _solve(problem, args.method)
         exact = oracle_value(problem.system, problem.amplitude)
         return [_fmt(omega), str(problem.nu), _fmt(abs(result.value - exact))]
 
@@ -200,15 +201,14 @@ def _cold_wall_time(problem: LevinProblem) -> float:
 
 def cmd_bench(config: dict, args) -> list[list[str]]:
     grid = _nu_grid(config)
-    repeats = max(1, args.repeats)
     dense_cap = int(config.get("dense_max_nu", DEFAULT_DENSE_MAX_NU))
     rows = []
     for nu in grid:  # timing runs stay sequential to avoid contention skew
         problem = _build_problem(config, nu=nu)
-        times = [_cold_wall_time(problem) for _ in range(repeats)]
+        times = [_cold_wall_time(problem) for _ in range(args.repeats)]
         rows.append([str(nu), "fast", _fmt(statistics.median(times))])
         if nu <= dense_cap and dense_within_guard(problem):
-            times = [dense_levin_solve(problem).wall_time for _ in range(repeats)]
+            times = [dense_levin_solve(problem).wall_time for _ in range(args.repeats)]
             rows.append([str(nu), "dense", _fmt(statistics.median(times))])
     return rows
 
@@ -303,14 +303,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fast Levin-Clenshaw-Curtis quadrature experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("quad", "sweep-omega", "sweep-nu", "bench", "condition", "plotdata"):
+    commands = {
+        "quad": {"--method": dict(default="fast", choices=["fast", "dense", "oracle"])},
+        "sweep-omega": {"--method": dict(default="fast", choices=["fast", "dense"]),
+                        "--parallel": dict(type=_at_least_one, default=1)},
+        "sweep-nu": {"--parallel": dict(type=_at_least_one, default=1)},
+        "bench": {"--repeats": dict(type=_at_least_one, default=5)},
+        "condition": {},
+        "plotdata": {},
+    }
+    for name, options in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--method", default="fast", choices=["fast", "dense", "oracle"])
-        p.add_argument("--repeats", type=int, default=5)
-        p.add_argument("--parallel", type=int, default=1)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:

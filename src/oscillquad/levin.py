@@ -204,8 +204,8 @@ class CollocationEngine:
         # or -1 (e = 1).  l = 0 gives the endpoint rows, l >= 1 the tail rows.
         n_head = nu + 2
         n_all = nu + 2 * s + 2
-        self.r_derivs = self._in_field(_poly_endpoint_derivs(system.r, s))
-        gt_derivs = self._in_field([[_poly_endpoint_derivs(system.r_g[j][i], s)
+        self.r_derivs = self._in_field(system.r.endpoint_derivatives(s))
+        gt_derivs = self._in_field([[system.r_g[j][i].endpoint_derivatives(s)
                                      for j in range(m)] for i in range(m)])
         t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
                   for sign in (+1, -1)]
@@ -276,18 +276,25 @@ class CollocationEngine:
         combination is, to rounding, a homogeneous solution, the value does
         not depend on its weight, and solving for that weight only
         amplifies noise.  In units of the floors, singular directions at or
-        below BORDER_RESOLVED are dropped (minimum-norm solution).  A zero
-        column, or no resolved direction at all, raises.
+        below BORDER_RESOLVED are dropped (minimum-norm solution).  A column
+        that is not finite in these units (a zero floor, or one so small
+        that dividing by it overflows, as at a tiny omega), or no resolved
+        direction at all, raises.
         """
         absv = np.abs(self.null_vectors)
         floor = np.finfo(np.float64).eps * np.maximum(*(
             np.tensordot(absv, np.abs(self.end_rows[e::2, :, :n_head]),
                          axes=([1, 2], [1, 2])).max(axis=1)
             for e in (0, 1)))
-        if not floor.all():
-            col = int(np.argmin(floor))
-            raise SingularMatrixError(f"zero column {col} in the bordering system", col)
-        u, sig, vh = np.linalg.svd(self.border / floor)
+        with np.errstate(all="ignore"):
+            scaled = self.border / floor
+        finite = np.isfinite(scaled).all(axis=0)
+        if not finite.all():
+            col = int(np.argmin(finite))
+            raise SingularMatrixError(
+                f"column {col} of the bordering system is not finite in units of its "
+                f"rounding floor {floor[col]:.3e}", col)
+        u, sig, vh = np.linalg.svd(scaled)
         keep = sig > BORDER_RESOLVED
         if not keep.any():
             raise SingularMatrixError("no direction of the bordering system is resolved")
@@ -417,14 +424,6 @@ def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Endpoint-derivative (tail) conditions for s >= 1
 # ---------------------------------------------------------------------------
-
-def _poly_endpoint_derivs(p: Polynomial, l_max: int) -> np.ndarray:
-    """d^l/dx^l p at +1 (row 0) and -1 (row 1) for l = 0..l_max."""
-    poly = np.polynomial.polynomial
-    ends = np.array([1.0, -1.0])
-    return np.stack([poly.polyval(ends, poly.polyder(p.coeffs, l)) for l in range(l_max + 1)],
-                    axis=1)
-
 
 def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
                            f_values: np.ndarray) -> np.ndarray:

@@ -108,7 +108,7 @@ class AmplitudeSpec:
 def _check_oscillator_data(omega, **arrays) -> None:
     """Raise ValueError unless omega is finite and positive and every entry
     of each named array is finite.  The constructors call it before any
-    arithmetic on omega."""
+    arithmetic on omega or on the named data."""
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
     for name, values in arrays.items():
@@ -142,8 +142,8 @@ def make_exponential(g, omega: float) -> OscillatorSystem:
     Requires g'(x) != 0 on [-1, 1] (checked on a 1000-point grid);
     stationary points are out of scope and rejected.
     """
-    _check_oscillator_data(omega)
     g = g if isinstance(g, Polynomial) else Polynomial(g)
+    _check_oscillator_data(omega, g=g.coeffs)
     gp = g.deriv()
     _check_no_roots(gp, 1000, "phase derivative g'", StationaryPointError)
     r_g = ((1j * omega * gp,),)
@@ -157,13 +157,18 @@ def make_exponential(g, omega: float) -> OscillatorSystem:
 def make_bessel(gamma: int, a: float, omega: float) -> OscillatorSystem:
     """Two-component system for the weight w = (J_gamma, J_gamma')(omega(x+a)).
 
-    ``a`` must satisfy |a| > 1 so x + a never vanishes on [-1, 1].  The
-    endpoint values w(+-1) come from :func:`bessel_eval`.
+    ``gamma`` must be a nonnegative integer and ``a`` must satisfy |a| > 1,
+    so x + a never vanishes on [-1, 1].  The endpoint values w(+-1) come
+    from ``scipy.special.jv`` and ``jvp`` at the signed arguments
+    omega (+-1 + a).
     """
-    _check_oscillator_data(omega)
+    order = float(gamma)
+    if not (order.is_integer() and order >= 0):
+        raise ValueError(f"gamma must be a nonnegative integer, got {gamma}")
+    _check_oscillator_data(omega, a=a)
     if abs(a) <= 1:
         raise PoleInIntervalError(f"need |a| > 1 to keep x + a nonzero, got a={a}")
-    gamma = int(gamma)
+    gamma = int(order)
     xa = Polynomial([a, 1.0])
     xa2 = xa * xa
     r = xa2
@@ -171,47 +176,12 @@ def make_bessel(gamma: int, a: float, omega: float) -> OscillatorSystem:
         (Polynomial([0.0]), omega * xa2),
         ((-omega) * xa2 + Polynomial([gamma * gamma / omega]), -1.0 * xa),
     )
-    jp, jpp = _bessel_signed(gamma, omega * (1.0 + a))
-    jm, jmp = _bessel_signed(gamma, omega * (-1.0 + a))
+    ends = omega * (np.array([1.0, -1.0]) + a)
+    w_plus, w_minus = np.stack([scipy.special.jv(gamma, ends), scipy.special.jvp(gamma, ends)],
+                               axis=1).astype(np.complex128)
     cfg = {"type": "bessel", "gamma": gamma, "a": float(a), "omega": float(omega)}
     return OscillatorSystem(dim=2, omega=float(omega), r=r, r_g=r_g,
-                            w_plus=np.array([jp, jpp], dtype=np.complex128),
-                            w_minus=np.array([jm, jmp], dtype=np.complex128),
-                            config=cfg)
-
-
-def _bessel_signed(gamma: int, z):
-    """J_gamma and J_gamma' (integer order) at real arguments ``z`` of one
-    sign, by J(-z) = (-1)^gamma J(z) for negative ones."""
-    z = np.asarray(z, dtype=np.float64)
-    if np.all(z > 0):
-        return bessel_eval(gamma, z)
-    j, jp = bessel_eval(gamma, -z)
-    sgn = -1.0 if gamma % 2 else 1.0
-    return sgn * j, -sgn * jp
-
-
-# ---------------------------------------------------------------------------
-# Bessel evaluation
-# ---------------------------------------------------------------------------
-
-def bessel_eval(gamma: int, x):
-    """J_gamma(x) and J_gamma'(x) for integer gamma >= 0 and x > 0.
-
-    Values come from ``scipy.special.jv`` and ``jvp``.  ``x`` may be a
-    scalar or an array; a scalar gives a pair of floats.
-    """
-    if gamma < 0 or int(gamma) != gamma:
-        raise ValueError("order must be a nonnegative integer")
-    gamma = int(gamma)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr <= 0):
-        raise ValueError("argument must be positive")
-    j = scipy.special.jv(gamma, x_arr)
-    jp = scipy.special.jvp(gamma, x_arr)
-    if x_arr.ndim == 0:
-        return float(j), float(jp)
-    return j, jp
+                            w_plus=w_plus, w_minus=w_minus, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +270,7 @@ def parse_oscillator_config(config, omega: float | None = None) -> OscillatorSys
     if kind == "exponential":
         return make_exponential(_poly_from_json(config["g"]), w)
     if kind == "bessel":
-        return make_bessel(int(config["gamma"]), float(config["a"]), w)
+        return make_bessel(config["gamma"], float(config["a"]), w)
     if kind == "custom":
         if omega is not None and omega != config["omega"]:
             raise ValueError("custom systems cannot be rebuilt at a new omega")
@@ -334,7 +304,8 @@ def weight_values(sys: OscillatorSystem, x) -> np.ndarray:
         g = _poly_from_json(cfg["g"])
         return np.exp(1j * sys.omega * g(x).real)[None, :]
     if cfg.get("type") == "bessel":
-        j, jp = _bessel_signed(cfg["gamma"], sys.omega * (x + cfg["a"]))
-        return np.stack([j, jp]).astype(np.complex128)
+        z = sys.omega * (x + cfg["a"])
+        return np.stack([scipy.special.jv(cfg["gamma"], z),
+                         scipy.special.jvp(cfg["gamma"], z)]).astype(np.complex128)
     raise ValueError("interior weight values are only known for the "
                      "exponential and bessel families")

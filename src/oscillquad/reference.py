@@ -81,11 +81,12 @@ def dense_collocation_matrix(problem: LevinProblem):
     if rows_per_comp * m != n_total:
         raise AssertionError("row bookkeeping is off")
 
-    # Endpoint derivative tables for T_n, orders 0..s+1.
-    t_end = {
-        +1: np.stack([endpoint_derivative_row(nb - 1, l, +1) for l in range(s + 2)]),
-        -1: np.stack([endpoint_derivative_row(nb - 1, l, -1) for l in range(s + 2)]),
-    }
+    # Endpoint derivative tables at +1 (index 0) and -1 (index 1): T_n for
+    # orders 0..s+1, each (G^T)_{ij} for orders 0..s.
+    t_end = [np.stack([endpoint_derivative_row(nb - 1, l, sign) for l in range(s + 2)])
+             for sign in (+1, -1)]
+    gt_end = [[sys.g_transpose_entry(i, j).endpoint_derivatives(s) for j in range(m)]
+              for i in range(m)]
 
     for i in range(m):
         row0 = i * rows_per_comp
@@ -99,16 +100,15 @@ def dense_collocation_matrix(problem: LevinProblem):
             a[row0 : row0 + nu + 2, col0 : col0 + nb] = block
         row = row0 + nu + 2
         for l in range(1, s + 1):
-            for sign in (+1, -1):
+            for e, sign in enumerate((+1, -1)):
                 rhs[row] = amp.derivative(l, sign)[i]
                 for j in range(m):
                     col0 = j * nb
-                    gt_der = sys.g_transpose_entry(i, j).derivatives_at(float(sign), l)
                     entries = np.zeros(nb, dtype=np.complex128)
                     if i == j:
-                        entries += t_end[sign][l + 1]
+                        entries += t_end[e][l + 1]
                     for p in range(l + 1):
-                        entries += math.comb(l, p) * gt_der[p] * t_end[sign][l - p]
+                        entries += math.comb(l, p) * gt_end[i][j][e, p] * t_end[e][l - p]
                     a[row, col0 : col0 + nb] = entries
                 row += 1
     return a, rhs

@@ -268,8 +268,7 @@ def random_manufactured(system, nu, s, rng):
     dp = np.zeros((l_max, m), dtype=complex)
     dm = np.zeros((l_max, m), dtype=complex)
     for i in range(m):
-        dp[:, i] = rats[i].derivatives_at(1.0, l_max)[1:]
-        dm[:, i] = rats[i].derivatives_at(-1.0, l_max)[1:]
+        dp[:, i], dm[:, i] = rats[i].endpoint_derivatives(l_max)[:, 1:]
     amp = AmplitudeSpec(components=tuple(make_f(r) for r in rats),
                         deriv_plus=dp, deriv_minus=dm, name="manufactured-random")
     signs = (-1.0) ** np.arange(n_basis)

@@ -110,13 +110,53 @@ def test_polynomial_arithmetic():
 def test_rational_function_derivatives_exact():
     # f = x / (x^2 + 0.02); f' = (0.02 - x^2)/(x^2+0.02)^2
     f = RationalFunction(Polynomial([0, 1]), Polynomial([0.02, 0, 1]))
-    d = f.derivatives_at(1.0, 2)
+    d = f.endpoint_derivatives(2)[0]
     assert d[0] == pytest.approx(1.0 / 1.02)
     assert d[1] == pytest.approx((0.02 - 1.0) / 1.02**2)
     # second derivative by hand: d/dx[(c-x^2)/(x^2+c)^2]
     c = 0.02
     num = lambda x: (-2 * x) * (x * x + c) ** 2 - (c - x * x) * 2 * (x * x + c) * 2 * x
     assert d[2] == pytest.approx(num(1.0) / 1.02**4)
+
+
+def test_polynomial_endpoint_derivatives_match_numpy():
+    p = Polynomial([0.3, -1.0 + 2j, 0.5, 4.0, -0.25j])
+    poly = np.polynomial.polynomial
+    table = p.endpoint_derivatives(6)
+    assert table.shape == (2, 7)
+    for l in range(7):
+        expected = poly.polyval(np.array([1.0, -1.0]), poly.polyder(p.coeffs, l))
+        np.testing.assert_array_equal(table[:, l], expected)
+
+
+@pytest.mark.parametrize("n", [3, 12, 25])
+def test_rational_endpoint_derivatives_near_a_root_of_the_denominator(n):
+    # (x+a)^2 T_n / (x+a)^2 is T_n, whose derivatives at +-1 are known in
+    # closed form; the denominator vanishes 0.2 from x = +1
+    xa2 = Polynomial([-1.2, 1.0]) * Polynomial([-1.2, 1.0])
+    t_n = Polynomial(np.polynomial.chebyshev.cheb2poly(np.eye(n + 1)[n]))
+    table = RationalFunction(xa2 * t_n, xa2).endpoint_derivatives(6)
+    for e, sign in enumerate((+1, -1)):
+        exact = np.array([endpoint_derivative_row(n, l, sign)[n] for l in range(7)])
+        assert np.max(np.abs(table[e] - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+def test_rational_endpoint_derivatives_of_the_benchmark_family(j):
+    # x^j / (x^2 + c) = q_j(x) + sum over the poles p = +-i sqrt(c) of
+    # (p^(j-1) / 2) / (x - p), whose l-th derivative is (-1)^l l! / (x - p)^(l+1)
+    l_max = 6
+    q = Polynomial(np.eye(j - 1)[j - 2] if j >= 2 else [0.0])
+    for c in np.linspace(0.05, 1.0, 12):
+        num = Polynomial(np.eye(j + 1)[j])
+        table = RationalFunction(num, Polynomial([c, 0.0, 1.0])).endpoint_derivatives(l_max)
+        poles = np.array([1j, -1j]) * math.sqrt(c)
+        for e, x in enumerate((1.0, -1.0)):
+            exact = q.endpoint_derivatives(l_max)[e] + np.array([
+                sum(p ** (j - 1) / 2 * (-1) ** l * math.factorial(l) / (x - p) ** (l + 1)
+                    for p in poles)
+                for l in range(l_max + 1)])
+            assert np.max(np.abs(table[e] - exact)) <= 1e-12 * np.max(np.abs(exact)), (c, x)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,23 @@ def test_bench_accepts_single_repeat(tmp_path):
     assert all(float(r["wall_seconds"]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("command,option", [
+    ("sweep-nu", ["--method", "dense"]),
+    ("condition", ["--repeats", "9"]),
+    ("sweep-omega", ["--method", "oracle"]),
+    ("bench", ["--repeats", "0"]),
+    ("sweep-nu", ["--parallel", "0"]),
+])
+def test_an_option_the_command_does_not_take_is_a_usage_error(tmp_path, monkeypatch,
+                                                               command, option):
+    monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "20000")
+    cfg = write_config(tmp_path, nu_grid=[16, 32],
+                       omega_grid={"log10_from": 1, "log10_to": 1.5, "points": 2})
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")] + option)
+    assert info.value.code == 2
+
+
 def test_condition_sanity(tmp_path):
     cfg = write_config(tmp_path, nu_grid=[16])
     out = tmp_path / "cond.csv"

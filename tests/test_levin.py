@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oscillquad.amplitudes import (
+    make_amplitude,
     manufactured_amplitude,
     manufactured_expected_value,
     rational_amplitude,
@@ -247,10 +248,10 @@ def test_endpoint_derivative_conditions_hold():
     res = solve_scalar_s(LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
     coeffs = res.coeffs[0]
     nb = coeffs.shape[0]
+    gt_table = sys.g_transpose_entry(0, 0).endpoint_derivatives(s)
     for l in range(1, s + 1):
-        for sign in (+1, -1):
+        for gt, sign in zip(gt_table, (+1, -1)):
             t_rows = [endpoint_derivative_row(nb - 1, k, sign) for k in range(l + 2)]
-            gt = sys.g_transpose_entry(0, 0).derivatives_at(float(sign), l)
             lhs = np.dot(coeffs, t_rows[l + 1])
             for p in range(l + 1):
                 lhs += math.comb(l, p) * gt[p] * np.dot(coeffs, t_rows[l - p])
@@ -741,6 +742,23 @@ def test_unsolvable_when_fast_fails_and_dense_is_over_the_memory_guard(monkeypat
     assert "SingularMatrixError: banded matrix numerically singular" in message
     assert isinstance(info.value.__cause__, ValueError)
     assert "MiB guard" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e-200])
+@pytest.mark.parametrize("make_sys", [lambda w: make_exponential([0.0, 1.0], w),
+                                      lambda w: make_bessel(1, 2.0, w)],
+                         ids=["exponential", "bessel"])
+def test_a_tiny_omega_gives_a_flagged_answer_or_a_typed_error(make_sys, omega):
+    # At omega 1e-300 the exponential system's border has an exactly zero
+    # column whose rounding floor is subnormal (4e-316), so the column is
+    # not finite in units of its floor; that must end in a typed error.
+    system = make_sys(omega)
+    try:
+        res = quadrature(LevinProblem(system=system, amplitude=make_amplitude("cos", system),
+                                      nu=64))
+    except UnsolvableProblemError:
+        return
+    assert res.flagged
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

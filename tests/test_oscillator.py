@@ -1,4 +1,4 @@
-"""Oscillator systems, Bessel evaluation, validation, JSON round-trips."""
+"""Oscillator systems, Bessel endpoint values, validation, JSON round-trips."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from oscillquad.oscillator import (
     OscillatorSystem,
     PoleInIntervalError,
     StationaryPointError,
-    bessel_eval,
     make_bessel,
     make_exponential,
     parse_oscillator_config,
@@ -31,6 +30,13 @@ J1_100 = -0.07714535201411214
 J1P_100 = 0.02075730382436424
 J1_300 = -0.03188743137749995
 J1P_300 = -0.033192263438380665
+
+
+def bessel_pair(gamma: int, x: float):
+    """J_gamma(x) and J_gamma'(x), read from make_bessel's w(+1): with a = 3
+    and omega = x / 4 the argument omega (1 + a) is exactly x."""
+    w = make_bessel(gamma, 3.0, x / 4.0).w_plus
+    return float(w[0].real), float(w[1].real)
 
 
 def bessel_series(gamma: int, x: float, terms: int = 20) -> float:
@@ -93,7 +99,7 @@ def test_bessel_rejects_pole_in_interval():
 def test_bessel_negative_offset_uses_reflection():
     sys = make_bessel(1, -2.0, 30.0)
     # w_1(1) = J_1(30 * (1 - 2)) = J_1(-30) = -J_1(30)
-    j30, _ = bessel_eval(1, 30.0)
+    j30, _ = bessel_pair(1, 30.0)
     assert sys.w_plus[0] == pytest.approx(-j30, abs=1e-13)
 
 
@@ -128,18 +134,37 @@ def test_non_finite_custom_data_is_rejected(field, value):
             parse_oscillator_config(dict(CUSTOM, **{field: value}))
 
 
+@pytest.mark.parametrize("field,build", [
+    pytest.param("g", lambda: make_exponential([0.0, math.inf], 10.0), id="g-inf"),
+    pytest.param("g", lambda: make_exponential([0.0, 1.0, math.nan], 10.0), id="g-nan"),
+    pytest.param("a", lambda: make_bessel(1, math.inf, 10.0), id="a-inf"),
+    pytest.param("a", lambda: make_bessel(1, math.nan, 10.0), id="a-nan"),
+    pytest.param("gamma", lambda: make_bessel(1.5, 2.0, 100.0), id="gamma-fraction"),
+    pytest.param("gamma", lambda: make_bessel(-1, 2.0, 100.0), id="gamma-negative"),
+    pytest.param("gamma", lambda: make_bessel(math.nan, 2.0, 100.0), id="gamma-nan"),
+    pytest.param("gamma", lambda: make_bessel(math.inf, 2.0, 100.0), id="gamma-inf"),
+    pytest.param("gamma", lambda: parse_oscillator_config(
+        {"type": "bessel", "gamma": 1.5, "a": 2.0, "omega": 100.0}), id="gamma-config"),
+])
+def test_bad_family_data_is_rejected_before_any_arithmetic(field, build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build()
+
+
 # ---------------------------------------------------------------------------
-# Bessel evaluation
+# Bessel endpoint values
 # ---------------------------------------------------------------------------
 
 def test_bessel_near_origin():
-    j0, j0p = bessel_eval(0, 1e-8)
+    j0, j0p = bessel_pair(0, 1e-8)
     assert j0 == pytest.approx(1.0, abs=1e-12)
     assert j0p == pytest.approx(0.0, abs=1e-8)
 
 
 def test_bessel_j1_of_one_against_series_and_published_digits():
-    j1, _ = bessel_eval(1, 1.0)
+    j1, _ = bessel_pair(1, 1.0)
     assert j1 == pytest.approx(bessel_series(1, 1.0), abs=1e-15)
     assert j1 == pytest.approx(0.4400505857, abs=5e-11)
 
@@ -147,7 +172,7 @@ def test_bessel_j1_of_one_against_series_and_published_digits():
 def test_bessel_against_series_small_arguments():
     for gamma in (0, 1, 2):
         for x in (0.3, 1.7, 4.0):
-            j, _ = bessel_eval(gamma, x)
+            j, _ = bessel_pair(gamma, x)
             assert j == pytest.approx(bessel_series(gamma, x, terms=30), abs=1e-13)
 
 
@@ -155,64 +180,67 @@ def test_bessel_derivative_ladder_consistency():
     # J_gamma' must match the ladder built from neighbouring orders
     for gamma in (1, 2):
         for x in (3.0, 40.0, 120.0):
-            _, jp = bessel_eval(gamma, x)
-            j_lo, _ = bessel_eval(gamma - 1, x)
-            j_hi, _ = bessel_eval(gamma + 1, x)
+            _, jp = bessel_pair(gamma, x)
+            j_lo, _ = bessel_pair(gamma - 1, x)
+            j_hi, _ = bessel_pair(gamma + 1, x)
             assert jp == pytest.approx(0.5 * (j_lo - j_hi), abs=1e-13)
 
 
 def test_bessel_envelope_decreasing():
     vals = []
     for x in (1.0, 5.0, 20.0):
-        j, jp = bessel_eval(0, x)
+        j, jp = bessel_pair(0, x)
         vals.append(j * j + jp * jp)
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_bessel_frozen_reference_values():
-    j, jp = bessel_eval(1, 100.0)
+    j, jp = bessel_pair(1, 100.0)
     assert j == pytest.approx(J1_100, abs=1e-13)
     assert jp == pytest.approx(J1P_100, abs=1e-13)
-    j, jp = bessel_eval(1, 300.0)
+    j, jp = bessel_pair(1, 300.0)
     assert j == pytest.approx(J1_300, abs=1e-13)
     assert jp == pytest.approx(J1P_300, abs=1e-13)
 
 
 def test_bessel_vectorized_matches_scalar():
+    # weight_values at x = 4 z - 3 of the gamma = 1, a = 3, omega = 1/4 system
+    # is (J_1, J_1')(z); every argument here is exact
     xs = np.array([0.5, 3.0, 49.0, 51.0, 400.0])
-    j, jp = bessel_eval(1, xs)
+    w = weight_values(make_bessel(1, 3.0, 0.25), 4.0 * xs - 3.0)
     for i, x in enumerate(xs):
-        js, jps = bessel_eval(1, float(x))
-        assert j[i] == pytest.approx(js, abs=1e-14)
-        assert jp[i] == pytest.approx(jps, abs=1e-14)
+        js, jps = bessel_pair(1, float(x))
+        assert w[0, i].real == pytest.approx(js, abs=1e-14)
+        assert w[1, i].real == pytest.approx(jps, abs=1e-14)
 
 
 def test_bessel_rejects_bad_arguments():
+    # a = +-1 puts the zero argument omega (x + a) on an endpoint
     with pytest.raises(ValueError):
-        bessel_eval(1, -1.0)
+        make_bessel(1, -1.0, 10.0)
     with pytest.raises(ValueError):
-        bessel_eval(1, 0.0)
+        make_bessel(1, 1.0, 10.0)
     with pytest.raises(ValueError):
-        bessel_eval(-1, 1.0)
+        make_bessel(-1, 2.0, 10.0)
 
 
 def test_bessel_ode_residual_at_endpoints():
     # J'' from the derivative ladder; residual of z^2 J'' + z J' + (z^2 - g^2) J
     gamma, a, omega = 1, 2.0, 100.0
     for z in (omega * 3.0, omega * 1.0):
-        j, jp = bessel_eval(gamma, z)
-        jm2, _ = bessel_eval(gamma - 1, z) if gamma >= 1 else (0.0, 0.0)
+        j, jp = bessel_pair(gamma, z)
+        jm2, _ = bessel_pair(gamma - 1, z) if gamma >= 1 else (0.0, 0.0)
         # second derivative via J_g'' = ((J_{g-2} - J_g) - (J_g - J_{g+2}))/4,
         # with J_{-1} = -J_1
-        j_g, _ = bessel_eval(gamma, z)
-        j_hi2, _ = bessel_eval(gamma + 2, z)
+        j_g, _ = bessel_pair(gamma, z)
+        j_hi2, _ = bessel_pair(gamma + 2, z)
         if gamma >= 2:
-            j_lo2, _ = bessel_eval(gamma - 2, z)
+            j_lo2, _ = bessel_pair(gamma - 2, z)
         elif gamma == 1:
-            j_lo2, _ = bessel_eval(1, z)
+            j_lo2, _ = bessel_pair(1, z)
             j_lo2 = -j_lo2
         else:
-            j_lo2, _ = bessel_eval(2, z)
+            j_lo2, _ = bessel_pair(2, z)
         jpp = 0.25 * (j_lo2 - 2.0 * j_g + j_hi2)
         resid = jpp + jp / z + (1.0 - gamma**2 / z**2) * j
         assert abs(resid) <= 1e-8
@@ -325,5 +353,5 @@ def test_weight_values_families():
     assert np.allclose(weight_values(sys, x)[0], np.exp(10.0j * x))
     sysb = make_bessel(1, 2.0, 10.0)
     wv = weight_values(sysb, np.array([1.0, -1.0]))
-    assert wv[0, 0] == pytest.approx(bessel_eval(1, 30.0)[0])
-    assert wv[1, 1] == pytest.approx(bessel_eval(1, 10.0)[1])
+    assert wv[0, 0] == pytest.approx(bessel_pair(1, 30.0)[0])
+    assert wv[1, 1] == pytest.approx(bessel_pair(1, 10.0)[1])

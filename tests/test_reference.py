@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oscillquad.amplitudes import manufactured_amplitude, manufactured_expected_value
-from oscillquad.levin import LevinProblem, solve_scalar_s0
+from oscillquad.levin import LevinProblem, quadrature, solve_scalar_s0
 from oscillquad.oscillator import make_bessel, make_exponential
 from oscillquad.reference import (
     cc_oracle,
@@ -89,6 +89,19 @@ def test_dense_manufactured_t5_exact():
     res = dense_levin_solve(LevinProblem(system=sys, amplitude=amp, nu=16))
     expected = manufactured_expected_value(sys, 5)
     assert abs(res.value - expected) <= 1e-11 * (1 + abs(expected))
+
+
+@pytest.mark.parametrize("nu", [128, 256])
+@pytest.mark.parametrize("a", [-1.2, -1.05, 1.05, 1.1])
+def test_fast_and_dense_agree_at_s1_near_a_root_of_r(a, nu):
+    # r = (x + a)^2 vanishes 0.05 to 0.2 outside [-1, 1]; the dense tail rows
+    # and the amplitude table read the endpoint derivatives of r G / r there
+    sys = make_bessel(1, a, 20.0)
+    problem = LevinProblem(system=sys, amplitude=manufactured_amplitude(sys, 5), nu=nu, s=1)
+    expected = manufactured_expected_value(sys, 5)
+    for res in (quadrature(problem), dense_levin_solve(problem)):
+        assert not res.flagged, res.path
+        assert abs(res.value - expected) <= 1e-9, res.path
 
 
 def test_dense_matrix_entries_spot_check():
