@@ -1,9 +1,9 @@
 """Fast Levin-Clenshaw-Curtis quadrature for highly oscillatory integrals.
 
 The package namespace holds the public API: problem and result types,
-system and amplitude builders, ``quadrature`` and its four tiers, the
-error types, and the dense reference solver and oracle.  The numerical
-internals live in their modules (``chebyshev``, ``banded``, ``levin``).
+system and amplitude builders, ``quadrature``, the error types, and the
+dense reference solver and oracle.  The numerical internals live in their
+modules (``chebyshev``, ``banded``, ``levin``).
 """
 
 from .chebyshev import Polynomial, UnsupportedRegimeError
@@ -25,10 +25,6 @@ from .levin import (
     QuadratureResult,
     UnsolvableProblemError,
     quadrature,
-    solve_block_s,
-    solve_block_s0,
-    solve_scalar_s,
-    solve_scalar_s0,
 )
 from .reference import cc_oracle, dense_levin_solve, oracle_value
 from .amplitudes import make_amplitude, manufactured_amplitude, manufactured_expected_value

@@ -123,49 +123,22 @@ def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
-    """Interleaving permutation for an M x M grid of nu x nu blocks.
-
-    ``perm[new] = old`` maps interleaved indices (component varying fastest)
-    to component-major indices: new = M*l + k  ->  old = k*nu + l.
-    """
-
-    m: int
-    nu: int
-    perm: np.ndarray
-
-
-def hockney_permutation(m: int, nu: int) -> BlockPermutation:
-    """Permutation that turns a grid of banded blocks into one banded matrix."""
-    if m < 1 or nu < 1:
-        raise ValueError("need m >= 1 and nu >= 1")
-    idx = np.arange(m * nu)
-    perm = (idx % m) * nu + idx // m
-    perm.setflags(write=False)
-    return BlockPermutation(m=m, nu=nu, perm=perm)
-
-
-def reorder_block_banded(blocks, perm: BlockPermutation) -> BandedMatrix:
-    """Assemble the reordered banded matrix D with D[i, j] = B[perm i, perm j].
+def reorder_block_banded(blocks) -> BandedMatrix:
+    """Interleave an M x M grid of banded blocks into one banded matrix.
 
     ``blocks`` is an M x M nested sequence of equally sized square
-    :class:`BandedMatrix` blocks.  Row M*l1 + a, column M*l2 + b of the
-    result holds entry (l1, l2) of block (a, b), so the block bandwidths
-    interleave into a single band of half-width at most
+    :class:`BandedMatrix` blocks.  In Hockney order, row M*l1 + a, column
+    M*l2 + b of the result holds entry (l1, l2) of block (a, b), so the
+    block bandwidths interleave into a single band of half-width at most
     M * max_block_halfwidth + M - 1.  The result has the blocks' common
     dtype.
     """
-    m = perm.m
-    if len(blocks) != m or any(len(row) != m for row in blocks):
+    m = len(blocks)
+    if m < 1 or any(len(row) != m for row in blocks):
         raise ValueError("blocks must form an M x M grid")
     nub = blocks[0][0].n
-    for row in blocks:
-        for blk in row:
-            if blk.n != nub:
-                raise ValueError("inconsistent block sizes")
-    if nub != perm.nu:
-        raise ValueError("block size does not match permutation")
+    if any(blk.n != nub for row in blocks for blk in row):
+        raise ValueError("inconsistent block sizes")
     max_lo = max(blk.lower_bw for row in blocks for blk in row)
     max_up = max(blk.upper_bw for row in blocks for blk in row)
     lo = m * max_lo + (m - 1)

@@ -208,30 +208,6 @@ def endpoint_derivative_row(n_max: int, l: int, sign: int) -> np.ndarray:
     return val
 
 
-# ---------------------------------------------------------------------------
-# DCT-I with endpoint-halving convention
-# ---------------------------------------------------------------------------
-
-def dct1_forward(x) -> np.ndarray:
-    """DCT-I on C^(nu+2): y_m = sum''_n cos(m n pi/(nu+1)) x_n.
-
-    The double prime halves the n = 0 and n = nu+1 terms.  FFT-based,
-    O(n log n).
-    """
-    x = np.asarray(x)
-    if x.shape[0] < 3:
-        raise ValueError("DCT-I needs at least 3 samples")
-    return 0.5 * scipy.fft.dct(x, type=1)
-
-
-def dct1_inverse(y) -> np.ndarray:
-    """Inverse of :func:`dct1_forward`; the DCT-I is self-inverse up to 2/(nu+1)."""
-    y = np.asarray(y)
-    if y.shape[0] < 3:
-        raise ValueError("DCT-I needs at least 3 samples")
-    return dct1_forward(y) * (2.0 / (y.shape[0] - 1))
-
-
 def real_if_zero_imag(a) -> np.ndarray:
     """``a`` as float64 when no entry has a nonzero imaginary part, else as complex128.
 
@@ -253,6 +229,8 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None) -> n
     DCT-I and give float64 values; others give complex128.
     """
     alpha = real_if_zero_imag(alpha)
+    if alpha.shape[0] < 3:
+        raise ValueError("DCT-I needs at least 3 samples")
     if grid is not None and alpha.shape[0] != grid.n_points:
         raise ValueError(
             f"coefficient vector of length {alpha.shape[0]} does not match "
@@ -261,7 +239,7 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None) -> n
     xt = alpha.copy()
     xt[0] *= 2.0
     xt[-1] *= 2.0
-    return dct1_forward(xt)
+    return 0.5 * scipy.fft.dct(xt, type=1)
 
 
 def apply_inverse_collocation(values) -> np.ndarray:
@@ -269,9 +247,14 @@ def apply_inverse_collocation(values) -> np.ndarray:
 
     Real values (or complex ones with a zero imaginary part) take a real
     DCT-I and give float64 coefficients, the same numbers as the complex
-    transform at half the work; others give complex128.
+    transform at half the work; others give complex128.  The DCT-I is its
+    own inverse up to the factor 2/(nu+1).
     """
-    z = dct1_inverse(real_if_zero_imag(values))
+    v = real_if_zero_imag(values)
+    n = v.shape[0]
+    if n < 3:
+        raise ValueError("DCT-I needs at least 3 samples")
+    z = 0.5 * scipy.fft.dct(v, type=1) * (2.0 / (n - 1))
     z[0] *= 0.5
     z[-1] *= 0.5
     return z

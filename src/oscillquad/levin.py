@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -54,7 +55,6 @@ from .banded import (
     banded_lu_factor,
     banded_solve,
     dense_solve,
-    hockney_permutation,
     reorder_block_banded,
 )
 from .chebyshev import (
@@ -84,7 +84,8 @@ class UnsolvableProblemError(RuntimeError):
 
 
 class NonFiniteAmplitudeError(ValueError):
-    """An amplitude sample on the collocation grid is NaN or infinite."""
+    """An amplitude sample on the collocation grid, or an endpoint
+    derivative the solve reads, is NaN or infinite."""
 
 
 #: Solves whose scaled residual exceeds this factor times omega * max|f|
@@ -107,6 +108,12 @@ class LevinProblem:
     s: int = 0
 
     def __post_init__(self):
+        for name in ("nu", "s"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.nu < 2 or self.nu % 2 != 0:
             raise ValueError(f"nu must be even and >= 2, got {self.nu}")
         if self.s < 0:
@@ -121,6 +128,12 @@ class LevinProblem:
                 f"s={self.s} requires amplitude endpoint derivatives up to "
                 f"order {self.s}; only {self.amplitude.max_derivative_order} supplied"
             )
+        if self.s >= 1:
+            for name in ("deriv_plus", "deriv_minus"):
+                if not np.isfinite(getattr(self.amplitude, name)[: self.s]).all():
+                    raise NonFiniteAmplitudeError(
+                        f"{name} of amplitude '{self.amplitude.name or '<anonymous>'}' "
+                        f"is not finite at orders 1..{self.s}")
 
     @property
     def n_basis(self) -> int:
@@ -192,8 +205,7 @@ class CollocationEngine:
         # M*n + i of column M*n' + j is entry (n, n') of block (i, j)), whose
         # interior rows and columns n = 1..nu are the projected system.
         self.operator = reorder_block_banded(
-            [[fold_operator(blk, nu, self.fold_depth) for blk in row] for row in blocks_big],
-            hockney_permutation(m, nu + 2))
+            [[fold_operator(blk, nu, self.fold_depth) for blk in row] for row in blocks_big])
         self.reordered = self.operator.principal_submatrix(m, m * (nu + 1))
         self.lu = banded_lu_factor(self.reordered)
 
@@ -441,10 +453,17 @@ def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
 
 
 # ---------------------------------------------------------------------------
-# Solver tiers
+# Fast path
 # ---------------------------------------------------------------------------
 
-def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
+def _fast_path_label(problem: LevinProblem) -> str:
+    """The (M, s) cell: ``scalar`` for M = 1 or ``block``, then ``_s0`` for s = 0 or ``_s``."""
+    size = "scalar" if problem.system.dim == 1 else "block"
+    return f"{size}_s0" if problem.s == 0 else f"{size}_s"
+
+
+def _solve_fast(problem: LevinProblem) -> QuadratureResult:
+    """One banded solve for every (M, s); the result's path names the case."""
     t0 = time.perf_counter()
     eng, reused = _engine_for(problem.system, problem.nu, problem.s)
     grid = eng.grid
@@ -482,7 +501,7 @@ def _solve_fast(problem: LevinProblem, path: str) -> QuadratureResult:
         value=value,
         coeffs=coeffs,
         residual=resid,
-        path=path,
+        path=_fast_path_label(problem),
         wall_time=time.perf_counter() - t0,
         flagged=flagged,
         engine_reused=reused,
@@ -496,36 +515,8 @@ def _boundary_value(system: OscillatorSystem, coeffs: np.ndarray) -> complex:
     return complex(np.dot(q_plus, system.w_plus) - np.dot(q_minus, system.w_minus))
 
 
-def solve_scalar_s0(problem: LevinProblem) -> QuadratureResult:
-    """Fast path for M = 1, s = 0."""
-    if problem.system.dim != 1 or problem.s != 0:
-        raise ValueError("solve_scalar_s0 requires M = 1 and s = 0")
-    return _solve_fast(problem, "scalar_s0")
-
-
-def solve_scalar_s(problem: LevinProblem) -> QuadratureResult:
-    """Fast path for M = 1, s >= 1 (endpoint-derivative conditions)."""
-    if problem.system.dim != 1 or problem.s < 1:
-        raise ValueError("solve_scalar_s requires M = 1 and s >= 1")
-    return _solve_fast(problem, "scalar_s")
-
-
-def solve_block_s0(problem: LevinProblem) -> QuadratureResult:
-    """Fast path for M >= 2, s = 0."""
-    if problem.system.dim < 2 or problem.s != 0:
-        raise ValueError("solve_block_s0 requires M >= 2 and s = 0")
-    return _solve_fast(problem, "block_s0")
-
-
-def solve_block_s(problem: LevinProblem) -> QuadratureResult:
-    """Fast path for M >= 2, s >= 1."""
-    if problem.system.dim < 2 or problem.s < 1:
-        raise ValueError("solve_block_s requires M >= 2 and s >= 1")
-    return _solve_fast(problem, "block_s")
-
-
 def quadrature(problem: LevinProblem) -> QuadratureResult:
-    """Dispatch to the matching fast tier; fall back to the dense solver.
+    """Solve on the fast path; fall back to the dense solver.
 
     The fast path signals trouble through singular pivots, an unsupported
     nu/bandwidth regime, or a flagged residual (all of which occur when
@@ -537,13 +528,10 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
     dense fallback, at WARNING level when the flagged fast result is
     returned.
     """
-    if problem.system.dim == 1:
-        path = "scalar_s0" if problem.s == 0 else "scalar_s"
-    else:
-        path = "block_s0" if problem.s == 0 else "block_s"
+    path = _fast_path_label(problem)
     fast_result = None
     try:
-        fast_result = _solve_fast(problem, path)
+        fast_result = _solve_fast(problem)
         if not fast_result.flagged:
             return fast_result
         reason = f"flagged residual {fast_result.residual:.3e}"

@@ -69,7 +69,8 @@ class AmplitudeSpec:
 
     ``deriv_plus[l-1][i]`` and ``deriv_minus[l-1][i]`` hold d^l f_i / dx^l
     at x = +1 and x = -1; they must be supplied in closed form whenever the
-    solver is asked for endpoint-derivative conditions (s >= 1).
+    solver is asked for endpoint-derivative conditions (s >= 1).  Both
+    tables are given or neither, each 2-D with one column per component.
     """
 
     components: tuple
@@ -77,13 +78,23 @@ class AmplitudeSpec:
     deriv_minus: np.ndarray | None = None
     name: str = ""
 
+    def __post_init__(self):
+        if (self.deriv_plus is None) != (self.deriv_minus is None):
+            raise ValueError("give both deriv_plus and deriv_minus, or neither")
+        for name, table in (("deriv_plus", self.deriv_plus), ("deriv_minus", self.deriv_minus)):
+            if table is not None and (np.ndim(table) != 2 or np.shape(table)[1] != self.dim):
+                raise ValueError(f"{name} must have shape (orders, {self.dim}), "
+                                 f"got {np.shape(table)}")
+
     @property
     def dim(self) -> int:
         return len(self.components)
 
     @property
     def max_derivative_order(self) -> int:
-        return 0 if self.deriv_plus is None else self.deriv_plus.shape[0]
+        if self.deriv_plus is None:
+            return 0
+        return min(self.deriv_plus.shape[0], self.deriv_minus.shape[0])
 
     def values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -140,7 +140,8 @@ def dense_levin_solve(problem: LevinProblem) -> QuadratureResult:
         return float(np.abs((a @ sol - rhs)[point_rows]).max())
 
     resid = point_residual(x)
-    if resid > flag_level:
+    # A NaN residual counts as over the level.
+    if not resid <= flag_level:
         # Near-singular regime (omega far below nu): the LU solution is
         # polluted by null-space junk; a truncated-SVD solve recovers the
         # bounded solution.
@@ -153,7 +154,7 @@ def dense_levin_solve(problem: LevinProblem) -> QuadratureResult:
         np.dot(coeffs.sum(axis=1), sys.w_plus)
         - np.dot(coeffs @ signs, sys.w_minus)
     )
-    flagged = resid > flag_level
+    flagged = not resid <= flag_level
     coeffs.setflags(write=False)
     return QuadratureResult(
         value=value,

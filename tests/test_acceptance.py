@@ -13,25 +13,18 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from oscillquad import levin
-from oscillquad.banded import banded_condest, dense_condest, hockney_permutation, reorder_block_banded
+from oscillquad.banded import banded_condest, dense_condest, reorder_block_banded
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
     Polynomial,
     RationalFunction,
     apply_collocation_matrix,
+    apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    dct1_forward,
-    dct1_inverse,
     fold_operator,
 )
-from oscillquad.levin import (
-    LevinProblem,
-    solve_block_s,
-    solve_block_s0,
-    solve_scalar_s,
-    solve_scalar_s0,
-)
+from oscillquad.levin import LevinProblem, _solve_fast
 from oscillquad.oscillator import AmplitudeSpec, make_bessel, make_exponential
 from oscillquad.reference import dense_collocation_matrix, dense_levin_solve
 
@@ -84,20 +77,14 @@ def test_criterion_1_oracle_gate(oracle_cache):
 
 
 # ---------------------------------------------------------------------------
-# 2. Fast/dense equivalence across all tiers
+# 2. Fast/dense equivalence in every (M, s) cell
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_fast_dense_equivalence():
     t0 = time.perf_counter()
-    solvers = {
-        ("scalar", 0): solve_scalar_s0,
-        ("scalar", 1): solve_scalar_s,
-        ("block", 0): solve_block_s0,
-        ("block", 1): solve_block_s,
-    }
     worst = 0.0
     worst_case = None
-    for (tier, s), solver in solvers.items():
+    for tier, s in (("scalar", 0), ("scalar", 1), ("block", 0), ("block", 1)):
         for nu in (8, 16, 32, 64):
             for omega in (50.0, 100.0, 1000.0):
                 if tier == "scalar":
@@ -106,7 +93,7 @@ def test_criterion_2_fast_dense_equivalence():
                 else:
                     prob = LevinProblem(system=i2_system(omega),
                                         amplitude=runge_amplitude(2), nu=nu, s=s)
-                fast = solver(prob)
+                fast = _solve_fast(prob)
                 dense = dense_levin_solve(prob)
                 gap = abs(fast.value - dense.value) / (1 + abs(dense.value))
                 if gap > worst:
@@ -147,13 +134,13 @@ def test_criterion_3_spectral_nu_convergence(oracle_cache):
     c = RUNGE_DEN.coeffs[0].real
     rho = np.sqrt(c) + np.sqrt(1.0 + c)
     clauses = []
-    for label, factory, dim, solver, floor in (
-            ("I1", i1_system, 1, solve_scalar_s0, 1e-9),
-            ("I2", i2_system, 2, solve_block_s0, 1e-7)):
+    for label, factory, dim, floor in (
+            ("I1", i1_system, 1, 1e-9),
+            ("I2", i2_system, 2, 1e-7)):
         exact = oracle_cache(factory(100.0), runge_amplitude(dim), ORACLE_FULL)
-        errs = [abs(solver(LevinProblem(system=factory(100.0),
-                                        amplitude=runge_amplitude(dim),
-                                        nu=nu)).value - exact)
+        errs = [abs(_solve_fast(LevinProblem(system=factory(100.0),
+                                             amplitude=runge_amplitude(dim),
+                                             nu=nu)).value - exact)
                 for nu in NU_FIT]
         slope = np.polyfit(NU_FIT, np.log10(errs), 1)[0]
         exponent = -slope / np.log10(rho)
@@ -186,16 +173,16 @@ def test_criterion_4_omega_decay(oracle_cache):
     for omega in omegas:
         sys1 = i1_system(omega)
         exact = oracle_cache(sys1, runge_amplitude(1), ORACLE_FULL)
-        res = solve_scalar_s0(LevinProblem(system=sys1,
-                                           amplitude=runge_amplitude(1), nu=4))
+        res = _solve_fast(LevinProblem(system=sys1,
+                                       amplitude=runge_amplitude(1), nu=4))
         errs0.append(abs(res.value - exact))
     slope0 = fit_loglog_slope(omegas, errs0)
     errs1 = []
     for omega in omegas:
         sysc = make_exponential([0.0, 1.0, 0.0, 0.1], omega)  # g = x + x^3/10
         exact = oracle_cache(sysc, runge_amplitude(1), ORACLE_FULL)
-        res = solve_scalar_s(LevinProblem(system=sysc,
-                                          amplitude=runge_amplitude(1), nu=4, s=1))
+        res = _solve_fast(LevinProblem(system=sysc,
+                                       amplitude=runge_amplitude(1), nu=4, s=1))
         errs1.append(abs(res.value - exact))
     slope1 = fit_loglog_slope(omegas, errs1)
     elapsed = time.perf_counter() - t0
@@ -214,7 +201,7 @@ def test_criterion_4_omega_decay(oracle_cache):
 def cold_wall_time(prob):
     """Wall time of a fast solve that builds its engine (no reuse)."""
     levin._forget_engine()
-    result = solve_scalar_s0(prob)
+    result = _solve_fast(prob)
     assert not result.engine_reused
     return result.wall_time
 
@@ -280,20 +267,21 @@ def random_manufactured(system, nu, s, rng):
 def test_criterion_6_manufactured_exactness():
     rng = np.random.default_rng(2024)
     solvers = [
-        ("scalar_s0", lambda w: i1_system(w), 0, solve_scalar_s0),
-        ("scalar_s", lambda w: i1_system(w), 1, solve_scalar_s),
-        ("block_s0", lambda w: i2_system(w), 0, solve_block_s0),
-        ("block_s", lambda w: i2_system(w), 1, solve_block_s),
+        ("scalar_s0", lambda w: i1_system(w), 0),
+        ("scalar_s", lambda w: i1_system(w), 1),
+        ("block_s0", lambda w: i2_system(w), 0),
+        ("block_s", lambda w: i2_system(w), 1),
     ]
     worst = 0.0
     count = 0
-    for tier, factory, s, solver in solvers:
+    for tier, factory, s in solvers:
         for trial in range(5):
             omega = float(rng.uniform(60.0, 900.0))
             nu = int(rng.choice([8, 12, 16]))
             system = factory(omega)
             amp, expected = random_manufactured(system, nu, s, rng)
-            res = solver(LevinProblem(system=system, amplitude=amp, nu=nu, s=s))
+            res = _solve_fast(LevinProblem(system=system, amplitude=amp, nu=nu, s=s))
+            assert res.path == tier
             gap = abs(res.value - expected) / (1 + abs(expected))
             worst = max(worst, gap)
             count += 1
@@ -315,7 +303,8 @@ def test_criterion_7_structural_suite():
     ok = True
     for nu in (2, 16, 256):
         x = rng.normal(size=nu + 2) + 1j * rng.normal(size=nu + 2)
-        ok &= np.max(np.abs(dct1_inverse(dct1_forward(x)) - x)) <= 1e-12 * np.max(np.abs(x))
+        back = apply_inverse_collocation(apply_collocation_matrix(x))
+        ok &= np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
     checks.append(("DCT-I roundtrip", ok))
 
     # banded operator columns against pointwise evaluation (1e-10)
@@ -353,13 +342,16 @@ def test_criterion_7_structural_suite():
     for m in (1, 2, 3, 4):
         for d_param in (0, 1, 2, 3, 4):
             nub = 12
-            perm = hockney_permutation(m, nub)
-            ok &= sorted(perm.perm.tolist()) == list(range(m * nub))
+            idx = np.arange(m * nub)
+            perm = (idx % m) * nub + idx // m
+            ok &= sorted(perm.tolist()) == list(range(m * nub))
             hw = d_param + 2
             blocks = [[band_from_dense(
                 np.tril(np.triu(rng.normal(size=(nub, nub)), -hw), hw), hw, hw)
                 for _ in range(m)] for _ in range(m)]
-            out = reorder_block_banded(blocks, perm)
+            out = reorder_block_banded(blocks)
+            big = np.block([[band_to_dense(b) for b in row] for row in blocks])
+            ok &= np.array_equal(band_to_dense(out), big[np.ix_(perm, perm)])
             ok &= out.lower_bw + out.upper_bw + 1 <= 2 * m * (d_param + 4) - 1
     checks.append(("Hockney bijection and bandwidth bound", ok))
 

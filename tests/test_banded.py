@@ -16,7 +16,6 @@ from oscillquad.banded import (
     banded_solve,
     dense_condest,
     dense_solve,
-    hockney_permutation,
     reorder_block_banded,
 )
 from oscillquad.chebyshev import BandedMatrix
@@ -192,44 +191,22 @@ def _timed(fn):
 
 
 # ---------------------------------------------------------------------------
-# Hockney permutation and block reordering
+# Block reordering (Hockney order)
 # ---------------------------------------------------------------------------
-
-def test_hockney_identity_for_single_component():
-    p = hockney_permutation(1, 7)
-    assert np.array_equal(p.perm, np.arange(7))
-
-
-def test_hockney_bijection():
-    p = hockney_permutation(3, 4)
-    assert sorted(p.perm.tolist()) == list(range(12))
-    assert np.array_equal(p.perm[np.argsort(p.perm)], np.arange(12))
-
-
-def test_hockney_matches_index_formula():
-    # 1-based: n = M l + k maps to (k - 1) nu + l + 1
-    m, nu = 3, 5
-    p = hockney_permutation(m, nu)
-    for n1 in range(1, m * nu + 1):
-        l = (n1 - 1) // m
-        k = n1 - m * l
-        assert p.perm[n1 - 1] + 1 == (k - 1) * nu + l + 1
-
 
 def test_reorder_single_block_unchanged():
     rng = np.random.default_rng(2)
     dense = random_banded(6, 1, 1, rng)
     blk = band_from_dense(dense, 1, 1)
-    out = reorder_block_banded([[blk]], hockney_permutation(1, 6))
+    out = reorder_block_banded([[blk]])
     assert np.allclose(band_to_dense(out), dense)
 
 
 def test_reorder_keeps_the_blocks_dtype():
     real = identity(4, dtype=np.float64)
     cplx = identity(4)
-    perm = hockney_permutation(2, 4)
-    assert reorder_block_banded([[real, real], [real, real]], perm).data.dtype == np.float64
-    assert reorder_block_banded([[real, cplx], [real, real]], perm).data.dtype == np.complex128
+    assert reorder_block_banded([[real, real], [real, real]]).data.dtype == np.float64
+    assert reorder_block_banded([[real, cplx], [real, real]]).data.dtype == np.complex128
 
 
 def test_reorder_diagonal_blocks_interleave_tridiagonal():
@@ -237,7 +214,7 @@ def test_reorder_diagonal_blocks_interleave_tridiagonal():
     m, nub = 2, 3
     blocks = [[band_from_dense(np.diag(10 * (a + 1) + (b + 1) + np.arange(nub) / 10), 0, 0)
                for b in range(m)] for a in range(m)]
-    d = band_to_dense(reorder_block_banded(blocks, hockney_permutation(m, nub)))
+    d = band_to_dense(reorder_block_banded(blocks))
     expected = np.zeros((6, 6))
     for l in range(nub):
         for a in range(m):
@@ -254,13 +231,15 @@ def test_reorder_matches_dense_permutation_and_bandwidth():
     hw = d_param + 2
     blocks = [[band_from_dense(random_banded(nub, hw, hw, rng), hw, hw)
                for _ in range(m)] for _ in range(m)]
-    perm = hockney_permutation(m, nub)
-    out = reorder_block_banded(blocks, perm)
+    out = reorder_block_banded(blocks)
+    # Hockney order: index M l + k of the result is index k nub + l of big
+    idx = np.arange(m * nub)
+    perm = (idx % m) * nub + idx // m
     big = np.zeros((m * nub, m * nub), dtype=complex)
     for a in range(m):
         for b in range(m):
             big[a * nub : (a + 1) * nub, b * nub : (b + 1) * nub] = band_to_dense(blocks[a][b])
-    expected = big[np.ix_(perm.perm, perm.perm)]
+    expected = big[np.ix_(perm, perm)]
     assert np.allclose(band_to_dense(out), expected)
     bound = 2 * m * (d_param + 4) - 1
     half = (bound - 1) // 2
@@ -278,7 +257,7 @@ def test_hockney_bandwidth_bound_structural(m, d_param):
     rng = np.random.default_rng(m * 10 + d_param)
     blocks = [[band_from_dense(random_banded(nub, hw, hw, rng), hw, hw)
                for _ in range(m)] for _ in range(m)]
-    out = reorder_block_banded(blocks, hockney_permutation(m, nub))
+    out = reorder_block_banded(blocks)
     assert out.lower_bw + out.upper_bw + 1 <= 2 * m * (d_param + 4) - 1
 
 
@@ -286,7 +265,7 @@ def test_reorder_rejects_inconsistent_blocks():
     blocks = [[identity(4), identity(4)],
               [identity(4), identity(5)]]
     with pytest.raises(ValueError):
-        reorder_block_banded(blocks, hockney_permutation(2, 4))
+        reorder_block_banded(blocks)
 
 
 # ---------------------------------------------------------------------------

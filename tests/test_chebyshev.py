@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval, poly2cheb
@@ -22,8 +23,6 @@ from oscillquad.chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    dct1_forward,
-    dct1_inverse,
     endpoint_derivative_row,
     fold_chebyshev_tail,
     fold_operator,
@@ -37,16 +36,16 @@ from conftest import band_from_dense, band_to_dense
 # Oracles used throughout this module
 # ---------------------------------------------------------------------------
 
-def naive_dct1(x):
-    """Halved-endpoint DCT-I by the literal double loop (O(n^2))."""
-    x = np.asarray(x)
-    n = x.shape[0]
+def naive_collocation(alpha):
+    """C @ alpha, C[m, k] = cos(m k pi/(n-1)), by the literal double loop (O(n^2))."""
+    alpha = np.asarray(alpha)
+    n = alpha.shape[0]
     big_n = n - 1
     out = np.zeros(n, dtype=np.complex128)
     for m in range(n):
-        acc = 0.5 * x[0] + 0.5 * math.cos(m * math.pi) * x[-1]
-        for k in range(1, n - 1):
-            acc = acc + math.cos(m * k * math.pi / big_n) * x[k]
+        acc = 0j
+        for k in range(n):
+            acc = acc + math.cos(m * k * math.pi / big_n) * alpha[k]
         out[m] = acc
     return out
 
@@ -254,35 +253,37 @@ def test_endpoint_derivative_rejects_negative():
 
 def test_dct1_constant_vector_against_naive():
     x = np.ones(18)
-    assert np.allclose(dct1_forward(x), naive_dct1(x), rtol=1e-13, atol=1e-13)
+    assert np.allclose(apply_collocation_matrix(x), naive_collocation(x), rtol=1e-13, atol=1e-13)
 
 
 def test_dct1_nu2_halved_first_coordinate():
-    y = dct1_forward(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(y, 0.5)
+    # T_0 is 1 at every point; the inverse transform halves the first (and
+    # last) coordinate of the DCT-I, so a constant maps back to T_0 alone
+    assert np.allclose(apply_collocation_matrix(np.array([1.0, 0.0, 0.0, 0.0])), 1.0)
+    assert np.allclose(apply_inverse_collocation(np.ones(4)), [1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [4, 7, 18, 129, 514])
 def test_dct1_fast_equals_naive(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    fast = dct1_forward(x)
-    assert np.max(np.abs(fast - naive_dct1(x))) <= 1e-12 * np.max(np.abs(fast) + 1)
+    fast = apply_collocation_matrix(x)
+    assert np.max(np.abs(fast - naive_collocation(x))) <= 1e-12 * np.max(np.abs(fast) + 1)
 
 
 @pytest.mark.parametrize("nu", [2, 16, 256, 4096])
 def test_dct1_roundtrip(nu):
     rng = np.random.default_rng(nu)
     x = rng.normal(size=nu + 2) + 1j * rng.normal(size=nu + 2)
-    back = dct1_inverse(dct1_forward(x))
+    back = apply_inverse_collocation(apply_collocation_matrix(x))
     assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_dct1_rejects_short_input():
     with pytest.raises(ValueError):
-        dct1_forward(np.ones(2))
+        apply_collocation_matrix(np.ones(2))
     with pytest.raises(ValueError):
-        dct1_inverse(np.ones(1))
+        apply_inverse_collocation(np.ones(1))
 
 
 def test_collocation_matrix_t0_and_t1():
@@ -326,7 +327,8 @@ def test_inverse_collocation_of_real_values_equals_the_complex_transform(nu):
     # and gives float64; the result must equal the complex128 transform bit
     # for bit
     def complex_transform(values):
-        z = dct1_inverse(np.asarray(values, dtype=np.complex128))
+        v = np.asarray(values, dtype=np.complex128)
+        z = 0.5 * scipy.fft.dct(v, type=1) * (2.0 / (v.shape[0] - 1))
         z[0] *= 0.5
         z[-1] *= 0.5
         return z

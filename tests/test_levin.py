@@ -1,4 +1,4 @@
-"""Fast solver tiers: interior solve, null vectors, bordering, tails,
+"""Fast path: interior solve, null vectors, bordering, tails,
 engine reuse, dispatcher, and the cross-checks against the dense
 reference path."""
 
@@ -24,7 +24,6 @@ from oscillquad import levin
 from oscillquad.banded import (
     BandedLU,
     SingularMatrixError,
-    hockney_permutation,
     reorder_block_banded,
 )
 from oscillquad.chebyshev import (
@@ -42,11 +41,8 @@ from oscillquad.levin import (
     LevinProblem,
     NonFiniteAmplitudeError,
     UnsolvableProblemError,
+    _solve_fast,
     quadrature,
-    solve_block_s,
-    solve_block_s0,
-    solve_scalar_s,
-    solve_scalar_s0,
 )
 from oscillquad.oscillator import (
     AmplitudeSpec,
@@ -155,12 +151,12 @@ def test_null_vectors_structure_and_kernel():
 
 
 # ---------------------------------------------------------------------------
-# Scalar tier, s = 0
+# Scalar systems (M = 1), s = 0
 # ---------------------------------------------------------------------------
 
 def test_scalar_s0_zero_amplitude():
     sys = make_exponential([0.0, 1.0], 100.0)
-    res = solve_scalar_s0(LevinProblem(system=sys, amplitude=zero_amplitude(1), nu=16))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=zero_amplitude(1), nu=16))
     assert res.value == 0.0
     assert res.residual == 0.0
     assert res.path == "scalar_s0"
@@ -170,7 +166,7 @@ def test_scalar_s0_manufactured_t3():
     omega = 100.0
     sys = make_exponential([0.0, 1.0], omega)
     amp = manufactured_amplitude(sys, 3)
-    res = solve_scalar_s0(LevinProblem(system=sys, amplitude=amp, nu=16))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=16))
     expected = manufactured_expected_value(sys, 3)
     assert expected == pytest.approx(np.exp(1j * omega) + np.exp(-1j * omega))
     assert abs(res.value - expected) <= 1e-10 * (1 + abs(expected))
@@ -178,7 +174,7 @@ def test_scalar_s0_manufactured_t3():
 
 def test_scalar_s0_runge_amplitude_vs_frozen_oracle():
     sys = make_exponential([0.0, 1.0], 100.0)
-    res = solve_scalar_s0(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=128))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=128))
     assert abs(res.value - I1_OMEGA100) <= 1e-8
 
 
@@ -186,18 +182,23 @@ def test_scalar_s0_constant_amplitude_closed_form():
     omega = 100.0
     sys = make_exponential([0.0, 1.0], omega)
     one = AmplitudeSpec(components=(lambda x: np.ones_like(x, dtype=complex),))
-    res = solve_scalar_s0(LevinProblem(system=sys, amplitude=one, nu=32))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=one, nu=32))
     assert abs(res.value - 2 * np.sin(omega) / omega) <= 1e-12
 
 
-def test_scalar_s0_rejects_wrong_tier():
-    sys = make_bessel(1, 2.0, 100.0)
-    with pytest.raises(ValueError):
-        solve_scalar_s0(LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=16))
+@pytest.mark.parametrize("m,s,label", [(1, 0, "scalar_s0"), (1, 2, "scalar_s"),
+                                       (2, 0, "block_s0"), (2, 1, "block_s")])
+def test_fast_path_labels_the_four_cells(m, s, label):
+    # one fast solve serves every (M, s); its label names the cell, and
+    # quadrature reports the same label for an accepted fast answer
+    sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
+    prob = LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=16, s=s)
+    assert _solve_fast(prob).path == label
+    assert quadrature(prob).path == label
 
 
 # ---------------------------------------------------------------------------
-# Scalar tier, s >= 1
+# Scalar systems (M = 1), s >= 1
 # ---------------------------------------------------------------------------
 
 def test_scalar_s1_manufactured_beyond_s0_basis():
@@ -206,7 +207,7 @@ def test_scalar_s1_manufactured_beyond_s0_basis():
     omega, nu = 100.0, 8
     sys = make_exponential([0.0, 1.0], omega)
     amp = manufactured_amplitude(sys, nu + 2)
-    res = solve_scalar_s(LevinProblem(system=sys, amplitude=amp, nu=nu, s=1))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=nu, s=1))
     expected = manufactured_expected_value(sys, nu + 2)
     assert abs(res.value - expected) <= 1e-9 * (1 + abs(expected))
     # tail coefficient of T_{nu+2} should be 1, everything else ~0
@@ -215,7 +216,7 @@ def test_scalar_s1_manufactured_beyond_s0_basis():
 
 def test_scalar_s2_zero_amplitude_zero_tail():
     sys = make_exponential([0.0, 1.0], 100.0)
-    res = solve_scalar_s(LevinProblem(system=sys, amplitude=zero_amplitude(1), nu=8, s=2))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=zero_amplitude(1), nu=8, s=2))
     assert res.value == 0.0
     assert np.allclose(res.coeffs, 0.0)
     assert res.coeffs.shape == (1, 8 + 2 * 2 + 2)
@@ -230,9 +231,9 @@ def test_scalar_s1_decay_steeper_than_s0():
     for w in omegas:
         sys = make_exponential([0.0, 1.0], w)
         exact = oracle_value(sys, rr, 200000)
-        e0.append(abs(solve_scalar_s0(
+        e0.append(abs(_solve_fast(
             LevinProblem(system=sys, amplitude=rr, nu=4, s=0)).value - exact))
-        e1.append(abs(solve_scalar_s(
+        e1.append(abs(_solve_fast(
             LevinProblem(system=sys, amplitude=rr, nu=4, s=1)).value - exact))
     s0 = fit_loglog_slope(omegas, e0)
     s1 = fit_loglog_slope(omegas, e1)
@@ -245,7 +246,7 @@ def test_endpoint_derivative_conditions_hold():
     omega, nu, s = 100.0, 12, 2
     sys = make_exponential([0.0, 1.0, 0.0, 0.1], omega)
     amp = runge_amplitude(1)
-    res = solve_scalar_s(LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
     coeffs = res.coeffs[0]
     nb = coeffs.shape[0]
     gt_table = sys.g_transpose_entry(0, 0).endpoint_derivatives(s)
@@ -260,7 +261,7 @@ def test_endpoint_derivative_conditions_hold():
 
 
 # ---------------------------------------------------------------------------
-# Block tiers
+# Block systems (M >= 2)
 # ---------------------------------------------------------------------------
 
 def decoupled_two_phase_system(omega):
@@ -280,26 +281,26 @@ def test_block_s0_decouples_into_scalar_solves():
     f1 = lambda x: x / (x * x + 0.02) + 0j
     f2 = lambda x: np.cos(x) + 0j
     amp2 = AmplitudeSpec(components=(f1, f2))
-    res2 = solve_block_s0(LevinProblem(system=sys2, amplitude=amp2, nu=nu))
+    res2 = _solve_fast(LevinProblem(system=sys2, amplitude=amp2, nu=nu))
     parts = []
     for g_coeffs, f in (([0.0, 1.0], f1), ([0.0, 2.0], f2)):
         sys1 = make_exponential(g_coeffs, omega)
         amp1 = AmplitudeSpec(components=(f,))
-        parts.append(solve_scalar_s0(
+        parts.append(_solve_fast(
             LevinProblem(system=sys1, amplitude=amp1, nu=nu)).value)
     assert abs(res2.value - sum(parts)) <= 1e-11 * (1 + abs(res2.value))
 
 
 def test_block_s0_hankel_vs_frozen_oracle():
     sys = make_bessel(1, 2.0, 100.0)
-    res = solve_block_s0(LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=128))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=128))
     assert abs(res.value - I2_OMEGA100) <= 1e-7
     assert res.path == "block_s0"
 
 
 def test_block_s0_zero_amplitude():
     sys = make_bessel(1, 2.0, 100.0)
-    res = solve_block_s0(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=16))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=16))
     assert res.value == 0.0
 
 
@@ -307,7 +308,7 @@ def test_block_s1_manufactured_beyond_head():
     omega, nu = 100.0, 8
     sys = make_bessel(1, 2.0, omega)
     amp = manufactured_amplitude(sys, nu + 2)
-    res = solve_block_s(LevinProblem(system=sys, amplitude=amp, nu=nu, s=1))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=nu, s=1))
     expected = manufactured_expected_value(sys, nu + 2)
     assert abs(res.value - expected) <= 1e-9 * (1 + abs(expected))
 
@@ -321,9 +322,9 @@ def test_block_s1_decay_steeper_than_s0():
     for w in omegas:
         sys = make_bessel(1, 2.0, w)
         exact = oracle_value(sys, rr, 200000)
-        e0.append(abs(solve_block_s0(
+        e0.append(abs(_solve_fast(
             LevinProblem(system=sys, amplitude=rr, nu=4, s=0)).value - exact))
-        e1.append(abs(solve_block_s(
+        e1.append(abs(_solve_fast(
             LevinProblem(system=sys, amplitude=rr, nu=4, s=1)).value - exact))
     s0 = fit_loglog_slope(omegas, e0)
     s1 = fit_loglog_slope(omegas, e1)
@@ -337,8 +338,8 @@ def test_scalar_s2_above_nu_is_flagged_or_right():
     # system is loud too: quadrature leaves the fast path)
     sys = make_exponential([0.0, 1.0], 1e4)
     try:
-        res = solve_scalar_s(LevinProblem(system=sys, amplitude=runge_amplitude(1),
-                                          nu=8192, s=2))
+        res = _solve_fast(LevinProblem(system=sys, amplitude=runge_amplitude(1),
+                                       nu=8192, s=2))
     except SingularMatrixError:
         return
     assert res.flagged or abs(res.value - I1_OMEGA1E4) <= 1e-5 * abs(I1_OMEGA1E4)
@@ -346,7 +347,7 @@ def test_scalar_s2_above_nu_is_flagged_or_right():
 
 def test_block_s_zero_amplitude():
     sys = make_bessel(1, 2.0, 100.0)
-    res = solve_block_s(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=8, s=1))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=8, s=1))
     assert res.value == 0.0
 
 
@@ -463,7 +464,7 @@ def test_reordered_band_equals_the_per_block_construction(m, s):
     depth = max(b.lower_bw for row in big for b in row) - 1
     mids = [[fold_operator(b, nu, depth).principal_submatrix(1, nu + 1) for b in row]
             for row in big]
-    want = reorder_block_banded(mids, hockney_permutation(m, nu))
+    want = reorder_block_banded(mids)
     got = eng.reordered
     assert (got.n, got.lower_bw, got.upper_bw) == (want.n, want.lower_bw, want.upper_bw)
     assert got.data.dtype == want.data.dtype
@@ -524,13 +525,11 @@ def test_fast_matches_dense_spot(tier, s):
     if tier == "scalar":
         sys = make_exponential([0.0, 1.0], omega)
         amp = runge_amplitude(1)
-        solver = solve_scalar_s0 if s == 0 else solve_scalar_s
     else:
         sys = make_bessel(1, 2.0, omega)
         amp = runge_amplitude(2)
-        solver = solve_block_s0 if s == 0 else solve_block_s
     prob = LevinProblem(system=sys, amplitude=amp, nu=nu, s=s)
-    fast = solver(prob)
+    fast = _solve_fast(prob)
     dense = dense_levin_solve(prob)
     assert abs(fast.value - dense.value) <= 1e-8 * (1 + abs(dense.value))
     assert np.max(np.abs(fast.coeffs - dense.coeffs)) <= 1e-7 * (
@@ -540,8 +539,8 @@ def test_fast_matches_dense_spot(tier, s):
 def test_result_value_consistent_with_coefficients():
     omega = 100.0
     sys = make_bessel(1, 2.0, omega)
-    res = solve_block_s(LevinProblem(system=sys, amplitude=runge_amplitude(2),
-                                     nu=16, s=1))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=runge_amplitude(2),
+                                   nu=16, s=1))
     signs = (-1.0) ** np.arange(res.coeffs.shape[1])
     recomputed = (np.dot(res.coeffs.sum(axis=1), sys.w_plus)
                   - np.dot(res.coeffs @ signs, sys.w_minus))
@@ -554,7 +553,7 @@ def test_accepted_solve_residual_bound():
     sys = make_exponential([0.0, 1.0], omega)
     amp = runge_amplitude(1)
     for nu in (16, 64, 256):
-        res = solve_scalar_s0(LevinProblem(system=sys, amplitude=amp, nu=nu))
+        res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=nu))
         assert not res.flagged
         assert res.residual <= 1e-8 * omega  # max|f| is about 3.5 here
 
@@ -593,7 +592,7 @@ def test_custom_scalar_system_with_nontrivial_r():
     assert res.path == "scalar_s0"
     assert abs(res.value - expected) <= 1e-9 * (1 + abs(expected))
     amp, expected = random_manufactured(sys, 12, 2, rng)
-    res = solve_scalar_s(LevinProblem(system=sys, amplitude=amp, nu=12, s=2))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=12, s=2))
     assert abs(res.value - expected) <= 1e-9 * (1 + abs(expected))
 
 
@@ -628,7 +627,7 @@ def test_coupled_three_component_system():
 def test_block_s3_deep_tail_manufactured():
     sys = make_bessel(1, 2.0, 200.0)
     amp = manufactured_amplitude(sys, 13)  # T_{nu+5} with nu = 8
-    res = solve_block_s(LevinProblem(system=sys, amplitude=amp, nu=8, s=3))
+    res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=8, s=3))
     expected = manufactured_expected_value(sys, 13)
     assert abs(res.value - expected) <= 1e-9 * (1 + abs(expected))
     assert res.coeffs.shape == (2, 8 + 6 + 2)
@@ -779,11 +778,28 @@ def test_non_finite_amplitude_samples_are_rejected(bad, make_sys, dim, monkeypat
     assert transforms == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("table", ["deriv_plus", "deriv_minus"])
+def test_non_finite_derivative_tables_are_rejected_when_the_problem_is_built(bad, table):
+    # a NaN order-1 table once gave an unflagged nan+nanj dense answer
+    sys = make_exponential([0.0, 1.0], 100.0)
+    cos = make_amplitude("cos", sys)
+    tables = {"deriv_plus": cos.deriv_plus, "deriv_minus": cos.deriv_minus}
+    tables[table] = np.full_like(tables[table], bad)
+    amp = AmplitudeSpec(components=cos.components, **tables)
+    with pytest.raises(NonFiniteAmplitudeError, match=table):
+        LevinProblem(system=sys, amplitude=amp, nu=32, s=1)
+    # s = 0 reads no table, and s = 1 reads only order 1
+    LevinProblem(system=sys, amplitude=amp, nu=32, s=0)
+    tables[table][0] = 1.0
+    LevinProblem(system=sys, amplitude=AmplitudeSpec(cos.components, **tables), nu=32, s=1)
+
+
 def test_nan_residual_is_flagged(monkeypatch):
     monkeypatch.setattr(CollocationEngine, "residual", lambda self, c, f: float("nan"))
     prob = LevinProblem(system=make_exponential([0.0, 1.0], 100.0),
                         amplitude=runge_amplitude(1), nu=16)
-    assert levin._solve_fast(prob, "scalar_s0").flagged
+    assert _solve_fast(prob).flagged
     res = quadrature(prob)
     assert res.path == "dense_fallback" and res.fallback_reason == "flagged residual nan"
 
@@ -812,7 +828,7 @@ def test_minimal_even_grid():
     sys = make_exponential([0.0, 1.0], omega)
     amp = runge_amplitude(1)
     prob = LevinProblem(system=sys, amplitude=amp, nu=2)
-    fast = solve_scalar_s0(prob)
+    fast = _solve_fast(prob)
     dense = dense_levin_solve(prob)
     assert abs(fast.value - dense.value) <= 1e-10 * (1 + abs(dense.value))
 
@@ -1006,3 +1022,14 @@ def test_problem_validation():
     bare = AmplitudeSpec(components=(lambda x: np.ones_like(x, dtype=complex),))
     with pytest.raises(ValueError):
         LevinProblem(system=sys, amplitude=bare, nu=16, s=1)
+
+
+@pytest.mark.parametrize("field,kwargs", [("nu", {"nu": 64.0}), ("s", {"nu": 64, "s": 1.5})])
+def test_problem_takes_only_integer_nu_and_s(field, kwargs):
+    # a float once passed construction and failed inside quadrature
+    sys = make_exponential([0.0, 1.0], 100.0)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        LevinProblem(system=sys, amplitude=runge_amplitude(1), **kwargs)
+    # numpy integers are integers
+    prob = LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=np.int64(64), s=np.int32(1))
+    assert quadrature(prob).path == "scalar_s"

@@ -1,4 +1,4 @@
-"""The library keeps no routine that only its tests call."""
+"""The library keeps no routine that only its tests call, and no import it does not use."""
 
 from __future__ import annotations
 
@@ -51,3 +51,39 @@ def test_every_library_routine_has_a_caller_outside_the_tests():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert not unused, f"only tests call: {unused}"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports (bar ``__future__``) but never reads.
+
+    ``import a.b`` binds ``a``; a name counts as read when it appears as a
+    Name node anywhere in the module.
+    """
+    bound = [
+        (alias.asname or alias.name).split(".", 1)[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_library_import_is_used_in_its_module():
+    # an import alias counts as a use above, so a leftover import would keep
+    # a dead routine alive; the package namespace re-exports on purpose
+    unused = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        if module.name != "__init__.py"
+        for name in unused_imports(ast.parse(module.read_text()))
+    ]
+    assert not unused, f"imported but unused: {unused}"
+
+
+def test_the_import_check_sees_a_leftover_import():
+    tree = ast.parse("from .banded import dense_solve, hockney_permutation\n"
+                     "import scipy.fft\n"
+                     "x = dense_solve(1, 2) + scipy.fft.dct(3)\n")
+    assert unused_imports(tree) == ["hockney_permutation"]

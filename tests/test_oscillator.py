@@ -347,6 +347,33 @@ def test_amplitude_requires_derivative_table_when_asked():
         amp.derivative(1, +1)
 
 
+def one(x):
+    return np.ones_like(np.asarray(x, dtype=np.float64), dtype=complex)
+
+
+@pytest.mark.parametrize("dim,tables,match", [
+    (1, {"deriv_plus": np.zeros((2, 1))}, "both"),
+    (1, {"deriv_minus": np.zeros((2, 1))}, "both"),
+    (1, {"deriv_plus": np.zeros((2, 3)), "deriv_minus": np.zeros((2, 1))},
+     r"deriv_plus must have shape \(orders, 1\)"),
+    (2, {"deriv_plus": np.zeros((2, 2)), "deriv_minus": np.zeros((2, 1))},
+     r"deriv_minus must have shape \(orders, 2\)"),
+    (1, {"deriv_plus": np.zeros(2), "deriv_minus": np.zeros((2, 1))},
+     "deriv_plus must have shape"),
+], ids=["plus-only", "minus-only", "3-columns-for-M=1", "1-column-for-M=2", "1-D"])
+def test_amplitude_rejects_bad_derivative_tables(dim, tables, match):
+    # each was once accepted, then read wrongly or failed mid-solve
+    with pytest.raises(ValueError, match=match):
+        AmplitudeSpec(components=(one,) * dim, **tables)
+
+
+def test_amplitude_derivative_order_is_the_shorter_table():
+    amp = AmplitudeSpec(components=(one,), deriv_plus=np.zeros((3, 1)),
+                        deriv_minus=np.zeros((2, 1)))
+    assert amp.max_derivative_order == 2
+    assert AmplitudeSpec(components=(one,)).max_derivative_order == 0
+
+
 def test_weight_values_families():
     sys = make_exponential([0.0, 1.0], 10.0)
     x = np.linspace(-1, 1, 5)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oscillquad.amplitudes import manufactured_amplitude, manufactured_expected_value
-from oscillquad.levin import LevinProblem, quadrature, solve_scalar_s0
-from oscillquad.oscillator import make_bessel, make_exponential
+from oscillquad.levin import LevinProblem, _solve_fast, quadrature
+from oscillquad.oscillator import AmplitudeSpec, make_bessel, make_exponential
 from oscillquad.reference import (
     cc_oracle,
     dense_collocation_matrix,
@@ -71,7 +71,7 @@ def test_oracle_env_override(monkeypatch):
 def test_dense_agrees_with_fast_path():
     sys = make_exponential([0.0, 1.0], 100.0)
     prob = LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=32)
-    fast = solve_scalar_s0(prob)
+    fast = _solve_fast(prob)
     dense = dense_levin_solve(prob)
     assert abs(fast.value - dense.value) <= 1e-9 * (1 + abs(dense.value))
     assert dense.path == "dense"
@@ -81,6 +81,15 @@ def test_dense_zero_amplitude():
     sys = make_bessel(1, 2.0, 100.0)
     res = dense_levin_solve(LevinProblem(system=sys, amplitude=zero_amplitude(2), nu=16))
     assert res.value == 0.0
+
+
+def test_dense_flags_a_nan_answer():
+    # NaN > level is False: the NaN residual must count as over it
+    sys = make_exponential([0.0, 1.0], 100.0)
+    amp = AmplitudeSpec(components=(lambda x: np.where(x > 0.5, np.nan, 1.0) + 0j,))
+    res = dense_levin_solve(LevinProblem(system=sys, amplitude=amp, nu=32))
+    assert np.isnan(res.residual)
+    assert res.flagged
 
 
 def test_dense_manufactured_t5_exact():
