@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import statistics
 import sys
 import time
@@ -88,8 +89,8 @@ def _build_problem(config: dict, omega: float | None = None,
         return LevinProblem(
             system=system,
             amplitude=amplitude,
-            nu=int(nu if nu is not None else config["nu"]),
-            s=int(config.get("s", 0)),
+            nu=nu if nu is not None else config["nu"],
+            s=config.get("s", 0),
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -113,7 +114,10 @@ def _nu_grid(config: dict) -> list[int]:
     grid = config.get("nu_grid")
     if not grid:
         raise ConfigError("config needs a nonempty nu_grid for this command")
-    grid = [int(v) for v in grid]
+    try:
+        grid = [operator.index(v) for v in grid]
+    except TypeError:
+        raise ConfigError(f"nu_grid entries must be integers, got {grid!r}") from None
     for nu in grid:
         if nu < 2 or nu % 2 != 0:
             raise ConfigError(f"nu_grid entries must be even and >= 2, got {nu}")

@@ -15,8 +15,11 @@ through s (the tail rows), in one table built by one Leibniz rule.  The tail
 columns do not depend on f: the engine solves them once, in coefficient
 space (no DCT), in the same multi-column banded solve as the null vectors,
 and each call then needs only one small dense 2Ms x 2Ms system.  A call
-costs 2M DCT-I transforms for every s: one inverse per component for the
-right-hand side and one forward per component for the residual.
+costs M DCT-I transforms for every s, one inverse per component for the
+right-hand side.  The residual check bounds the interior rows in
+coefficient space, against those transforms' output; only when that
+bound does not clear the flag level does it spend one forward transform
+per component on the exact value-space residual.
 
 The engine does not depend on f, so one slot keeps the last engine built
 and every fast solve goes through it (``_engine_for``).  Its key is the
@@ -151,6 +154,8 @@ class QuadratureResult:
 
     value: complex
     coeffs: np.ndarray
+    #: Max collocation residual over the grid.  On an accepted fast solve
+    #: this can be an upper bound on it (``CollocationEngine.residual``).
     residual: float
     path: str
     wall_time: float
@@ -334,46 +339,74 @@ class CollocationEngine:
         delta = self.border_solver @ rhs
         return heads + np.tensordot(delta.T, self.null_vectors, axes=1)
 
-    def solve_cleared(self, rhs_scaled_mid: np.ndarray, rhs_end: np.ndarray) -> np.ndarray:
+    def solve_cleared(self, rhs_scaled_mid: np.ndarray,
+                      rhs_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the cleared collocation system A alpha = b on the nu+2 head.
 
         ``rhs_scaled_mid[i, m]`` holds (1 - c_m^2) b_i(c_m) at the interior
         points m = 1..nu; ``rhs_end`` the unscaled values b_i(+1), b_i(-1)
-        in (component, end) order.  Returns coefficients of shape (M, nu+2),
-        real when the engine and the right-hand side are both real.
+        in (component, end) order.  Returns the coefficients of shape
+        (M, nu+2), real when the engine and the right-hand side are both
+        real, and z (M, nu+2), the DCT-I coefficients of each component's
+        scaled right-hand side, which ``residual`` checks against.
         """
-        m, nu = self.m, self.nu
-        z_mid = np.empty((1, m, nu), dtype=np.result_type(self.dtype, rhs_scaled_mid))
-        full = np.zeros(nu + 2, dtype=rhs_scaled_mid.dtype)
-        for i in range(m):
-            full[1 : nu + 1] = rhs_scaled_mid[i]
-            z_mid[0, i] = apply_inverse_collocation(full)[1 : nu + 1]
+        nu = self.nu
+        z = np.array([apply_inverse_collocation(np.pad(row, 1)) for row in rhs_scaled_mid])
+        z_mid = z[None, :, 1 : nu + 1].astype(
+            np.result_type(self.dtype, rhs_scaled_mid), copy=False)
         heads = self._solve_interior(z_mid)
-        return self._meet_endpoint_rows(heads, rhs_end[None])[0]
+        return self._meet_endpoint_rows(heads, rhs_end[None])[0], z
 
     # -- residual --------------------------------------------------------------
 
-    def residual(self, coeffs: np.ndarray, f_values: np.ndarray) -> float:
-        """Max collocation residual |L_omega q - f| over all grid points.
+    def residual(self, coeffs: np.ndarray, f_values: np.ndarray, z: np.ndarray,
+                 level: float) -> float:
+        """Max collocation residual |L_omega q - f| over all grid points, or
+        an upper bound on it that is at most ``level``.
 
-        ``coeffs`` (M, nu+2s+2) holds head and tail.  The interior rows are
-        checked in scaled cleared form, the tail added in coefficient space
-        before one transform per component, and divided back by
-        (1 - c_m^2) r(c_m); the endpoint rows (recovered by the bordering
-        solve) are checked directly, divided back by r(+-1).
+        ``coeffs`` (M, nu+2s+2) holds head and tail, ``z`` the DCT-I
+        coefficients of the scaled right-hand side from ``solve_cleared``.
+        The endpoint rows (recovered by the bordering solve) are checked
+        directly, divided back by r(+-1).  The interior rows are in scaled
+        cleared form: acc, the operator applied to the head plus the tail,
+        should have the values C z.  As |T_k(c_m)| <= 1, the interior
+        residuals are at most (||acc - z||_1 + the round trip's rounding)
+        / min_m (1 - c_m^2) |r(c_m)|.  When that bound and the endpoint
+        residual are at most ``level``, their maximum is returned with no
+        transform.  Otherwise (a NaN bound included) the interior rows are
+        checked exactly, by one forward transform per component, and the
+        exact maximum is returned.
         """
         m, nu = self.m, self.nu
         grid = self.grid
         r_vals = self.r_vals
         acc = (self.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
                + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1))
-        y = np.array([apply_collocation_matrix(a, grid) for a in acc])
-        interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
-            grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
         r_end = r_vals[[0, -1]]
         ends = np.abs(_apply_rows(self.end_rows, coeffs[None])[0]
                       - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
+        bound = (np.abs(acc - z).sum(axis=1) + _dct_rounding_bound(z)).max() / (
+            grid.sin2 * np.abs(r_vals))[1:-1].min()
+        # np.maximum keeps a NaN, which is not <= level.
+        certified = float(np.maximum(bound, ends.max()))
+        if certified <= level:
+            return certified
+        y = np.array([apply_collocation_matrix(a, grid) for a in acc])
+        interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
+            grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
         return float(max(interior.max(), ends.max()))
+
+
+def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
+    """Bound on max_m |C z - v|_m for each row of ``z`` (K, nu+2), the
+    Chebyshev coefficients of grid values v by one DCT-I, with C z taken by
+    a second: 8 log2(n) u sqrt(n) ||z||_2, n = 2(nu+1) the FFT length, u
+    the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 24).  Measured round trips stay under a
+    twentieth of it for nu from 2 to 32768."""
+    n = 2 * (z.shape[-1] - 1)
+    u = np.finfo(np.float64).eps / 2
+    return 8 * math.log2(n) * u * math.sqrt(n) * np.linalg.norm(z, axis=-1)
 
 
 def _freeze(value) -> None:
@@ -456,6 +489,16 @@ def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
 # Fast path
 # ---------------------------------------------------------------------------
 
+def _check_finite_samples(f_values: np.ndarray, points: np.ndarray) -> None:
+    """Raise NonFiniteAmplitudeError on the first NaN or infinite sample
+    ``f_values[i, m]`` of amplitude component i at ``points[m]``."""
+    finite = np.isfinite(f_values)
+    if not finite.all():
+        i, m = np.argwhere(~finite)[0]
+        raise NonFiniteAmplitudeError(
+            f"amplitude component {i} is {f_values[i, m]} at x = {points[m]!r}")
+
+
 def _fast_path_label(problem: LevinProblem) -> str:
     """The (M, s) cell: ``scalar`` for M = 1 or ``block``, then ``_s0`` for s = 0 or ``_s``."""
     size = "scalar" if problem.system.dim == 1 else "block"
@@ -469,17 +512,13 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
     grid = eng.grid
 
     f_values = problem.amplitude.values(grid.points)
-    finite = np.isfinite(f_values)
-    if not finite.all():
-        i, m = np.argwhere(~finite)[0]
-        raise NonFiniteAmplitudeError(
-            f"amplitude component {i} is {f_values[i, m]} at x = {grid.points[m]!r}")
+    _check_finite_samples(f_values, grid.points)
     f_values = real_if_zero_imag(f_values)
     r_vals = eng.r_vals
     rhs_scaled_mid = (grid.sin2 * r_vals * f_values)[:, 1:-1]
     rhs_end = (r_vals[[0, -1]] * f_values[:, [0, -1]]).reshape(-1)
 
-    coeffs = eng.solve_cleared(rhs_scaled_mid, rhs_end)
+    coeffs, z = eng.solve_cleared(rhs_scaled_mid, rhs_end)
     if eng.s >= 1:
         rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
                - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
@@ -491,10 +530,11 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
         )
 
     value = _boundary_value(problem.system, coeffs)
-    resid = eng.residual(coeffs, f_values)
     f_scale = float(np.max(np.abs(f_values)))
+    level = RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
+    resid = eng.residual(coeffs, f_values, z, level)
     # A NaN residual is flagged too.
-    flagged = not resid <= RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
+    flagged = not resid <= level
     coeffs = coeffs.astype(np.complex128, copy=False)
     coeffs.setflags(write=False)
     return QuadratureResult(

@@ -22,7 +22,12 @@ import scipy.linalg
 
 from .banded import PIVOT_RTOL, SingularMatrixError, lu_factor_quiet
 from .chebyshev import apply_inverse_collocation, endpoint_derivative_row
-from .levin import LevinProblem, QuadratureResult, RESIDUAL_FLAG_FACTOR
+from .levin import (
+    RESIDUAL_FLAG_FACTOR,
+    LevinProblem,
+    QuadratureResult,
+    _check_finite_samples,
+)
 from .oscillator import AmplitudeSpec, OscillatorSystem, weight_values
 
 #: Largest dense collocation matrix that is built: 512 MiB of complex128
@@ -59,7 +64,8 @@ def dense_collocation_matrix(problem: LevinProblem):
     Rows are grouped per component: nu+2 point conditions, then the 2s
     endpoint-derivative conditions (l = 1..s at +1 and -1).  All entries
     use the unscaled operator d/dx + G_omega^T with rational G entries
-    evaluated directly.
+    evaluated directly.  A NaN or infinite amplitude sample raises
+    NonFiniteAmplitudeError before any entry is computed.
     """
     sys = problem.system
     amp = problem.amplitude
@@ -71,9 +77,11 @@ def dense_collocation_matrix(problem: LevinProblem):
             f"dense system of order {n_total} needs {16 * n_total**2 >> 20} MiB, "
             f"over the {DENSE_BYTES_GUARD >> 20} MiB guard"
         )
-    t_vals, t_der = _chebyshev_values_on_grid(nu, nb)
     points = np.cos(np.arange(nu + 2) * (np.pi / (nu + 1)))
     points[0], points[-1] = 1.0, -1.0
+    f_values = amp.values(points)
+    _check_finite_samples(f_values, points)
+    t_vals, t_der = _chebyshev_values_on_grid(nu, nb)
 
     a = np.zeros((n_total, n_total), dtype=np.complex128)
     rhs = np.zeros(n_total, dtype=np.complex128)
@@ -90,7 +98,7 @@ def dense_collocation_matrix(problem: LevinProblem):
 
     for i in range(m):
         row0 = i * rows_per_comp
-        rhs[row0 : row0 + nu + 2] = amp.values(points)[i]
+        rhs[row0 : row0 + nu + 2] = f_values[i]
         for j in range(m):
             col0 = j * nb
             gt = sys.g_transpose_entry(i, j)

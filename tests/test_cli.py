@@ -154,6 +154,20 @@ def test_sweep_nu_rejects_odd(tmp_path):
     assert main(["sweep-nu", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("fields", [{"nu": 64.9}, {"s": 1.5}, {"nu": 64.9, "s": 1.5}])
+def test_quad_refuses_a_fractional_nu_or_s(tmp_path, capsys, fields):
+    # int() once truncated these to nu 64, s 1 and exited 0
+    cfg = write_config(tmp_path, amplitude="cos", **fields)
+    assert main(["quad", "--config", str(cfg)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_sweep_nu_refuses_a_fractional_entry(tmp_path, capsys):
+    cfg = write_config(tmp_path, nu_grid=[16, 32.5])
+    assert main(["sweep-nu", "--config", str(cfg)]) == 2
+    assert "nu_grid entries must be integers" in capsys.readouterr().err
+
+
 def test_bench_accepts_single_repeat(tmp_path):
     cfg = write_config(tmp_path, nu_grid=[16, 32])
     out = tmp_path / "bench.csv"

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillquad.amplitudes import (
     make_amplitude,
@@ -29,6 +31,7 @@ from oscillquad.banded import (
 from oscillquad.chebyshev import (
     ONE_MINUS_X2,
     Polynomial,
+    UnsupportedRegimeError,
     apply_collocation_matrix,
     apply_inverse_collocation,
     build_banded_operator,
@@ -368,7 +371,7 @@ def test_engine_tail_columns_match_one_cleared_solve_each(m, s):
     assert eng.tail_heads.shape == (len(tail), m, n_head)
     for c, (k, n) in enumerate(tail):
         vals = np.array([apply_collocation_matrix(eng.tail_ops[c, i]) for i in range(m)])
-        want = eng.solve_cleared(-vals[:, 1:-1], -eng.end_rows[:, k, n])
+        want, _ = eng.solve_cleared(-vals[:, 1:-1], -eng.end_rows[:, k, n])
         assert np.max(np.abs(eng.tail_heads[c] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -501,17 +504,108 @@ def test_every_traced_name_resolves():
         assert attr in owner.__dict__, (owner, attr)
 
 
+def _residual_call(problem):
+    """The fast result, and the engine and arguments it passed to its
+    residual check: (result, (engine, coeffs, f_values, z, level))."""
+    seen = []
+    original = CollocationEngine.residual
+
+    def spy(self, *args):
+        seen.append((self,) + args)
+        return original(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CollocationEngine, "residual", spy)
+        res = _solve_fast(problem)
+    (call,) = seen
+    return res, call
+
+
 @pytest.mark.parametrize("m,s", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_fast_solve_runs_2m_transforms_for_every_s(m, s, monkeypatch):
-    calls = []
-    for name in ("apply_collocation_matrix", "apply_inverse_collocation"):
-        original = getattr(levin, name)
-        monkeypatch.setattr(levin, name,
-                            lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+    # at most 2M: the solve's M inverse transforms, and M forward ones only
+    # when the residual's certificate does not clear the level
     sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
-    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=32, s=s))
-    assert res.fallback_reason is None
-    assert len(calls) == 2 * m
+    problem = LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=32, s=s)
+    calls = {"apply_collocation_matrix": 0, "apply_inverse_collocation": 0}
+    for name in calls:
+        def counted(*a, _f=getattr(levin, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+
+        monkeypatch.setattr(levin, name, counted)
+    res, (eng, coeffs, f_values, z, level) = _residual_call(problem)
+    assert not res.flagged and res.residual <= level
+    assert calls == {"apply_collocation_matrix": 0, "apply_inverse_collocation": m}
+    eng.residual(coeffs, f_values, z, 0.0)
+    assert calls == {"apply_collocation_matrix": m, "apply_inverse_collocation": m}
+
+
+@pytest.mark.parametrize("m,s", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_exact_residual_is_the_value_space_check(m, s):
+    # below every certificate the residual is the value-space check:
+    # one forward transform per component of the operator applied to the
+    # head plus the tail, divided back by (1 - c^2) r, and the endpoint
+    # rows divided back by r(+-1)
+    sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
+    _, (eng, coeffs, f_values, z, _) = _residual_call(
+        LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=32, s=s))
+    nu, grid, r_vals = eng.nu, eng.grid, eng.r_vals
+    acc = (eng.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
+           + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), eng.tail_ops, axes=1))
+    y = np.array([apply_collocation_matrix(a, grid) for a in acc])
+    interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
+        grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
+    r_end = r_vals[[0, -1]]
+    ends = np.abs(levin._apply_rows(eng.end_rows, coeffs[None])[0]
+                  - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
+    assert eng.residual(coeffs, f_values, z, 0.0) == float(max(interior.max(), ends.max()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_certificate_bounds_the_exact_residual_and_keeps_its_flag(data):
+    if data.draw(st.booleans(), label="bessel"):
+        a = data.draw(st.floats(1.1, 4.0), label="|a|") * data.draw(st.sampled_from([1, -1]))
+        sys = make_bessel(data.draw(st.integers(0, 5), label="gamma"), a,
+                          10 ** data.draw(st.floats(0.0, 3.0), label="log10 omega"))
+    else:
+        # g' = 1 + 2 b x + 3 c x^2 stays >= 0.1 on [-1, 1]
+        b = data.draw(st.floats(-0.2, 0.2), label="b")
+        c = data.draw(st.floats(-0.15, 0.15), label="c")
+        sys = make_exponential([0.0, 1.0, b, c][: data.draw(st.integers(2, 4))],
+                               10 ** data.draw(st.floats(0.0, 3.0), label="log10 omega"))
+    if data.draw(st.booleans(), label="manufactured"):
+        amp = manufactured_amplitude(sys, data.draw(st.integers(0, 12), label="n"))
+    else:
+        num = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4), label="num")
+        den = [data.draw(st.floats(0.01, 2.0), label="den"), 0.0, 1.0]
+        amp = rational_amplitude(Polynomial(num), Polynomial(den), sys.dim)
+    nu = 2 * data.draw(st.integers(4, 48), label="nu/2")
+    s = data.draw(st.integers(0, 2), label="s")
+    try:
+        res, (eng, coeffs, f_values, z, level) = _residual_call(
+            LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
+    except (SingularMatrixError, UnsupportedRegimeError):
+        return
+    certificate = eng.residual(coeffs, f_values, z, math.inf)
+    exact = eng.residual(coeffs, f_values, z, 0.0)
+    assert certificate >= exact or math.isnan(certificate)
+    assert res.flagged == (not exact <= level)
+    assert res.residual <= level or res.residual == exact or math.isnan(exact)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_dct_rounding_bound_covers_the_round_trip(kind):
+    rng = np.random.default_rng(5)
+    for nu in [2, 4, 6, 14, 62, 510, 2046, 8190, 8192, 32768]:
+        for _ in range(4):
+            v = rng.standard_normal(nu + 2)
+            if kind == "complex":
+                v = v + 1j * rng.standard_normal(nu + 2)
+            z = apply_inverse_collocation(v)
+            err = np.abs(apply_collocation_matrix(z) - v).max()
+            assert err <= levin._dct_rounding_bound(z[None])[0], nu
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +890,8 @@ def test_non_finite_derivative_tables_are_rejected_when_the_problem_is_built(bad
 
 
 def test_nan_residual_is_flagged(monkeypatch):
-    monkeypatch.setattr(CollocationEngine, "residual", lambda self, c, f: float("nan"))
+    monkeypatch.setattr(CollocationEngine, "residual",
+                        lambda self, c, f, z, level: float("nan"))
     prob = LevinProblem(system=make_exponential([0.0, 1.0], 100.0),
                         amplitude=runge_amplitude(1), nu=16)
     assert _solve_fast(prob).flagged

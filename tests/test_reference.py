@@ -7,8 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oscillquad.amplitudes import manufactured_amplitude, manufactured_expected_value
-from oscillquad.levin import LevinProblem, _solve_fast, quadrature
+from oscillquad import reference
+from oscillquad.amplitudes import (
+    make_amplitude,
+    manufactured_amplitude,
+    manufactured_expected_value,
+)
+from oscillquad.levin import LevinProblem, NonFiniteAmplitudeError, _solve_fast, quadrature
 from oscillquad.oscillator import AmplitudeSpec, make_bessel, make_exponential
 from oscillquad.reference import (
     cc_oracle,
@@ -83,13 +88,33 @@ def test_dense_zero_amplitude():
     assert res.value == 0.0
 
 
-def test_dense_flags_a_nan_answer():
-    # NaN > level is False: the NaN residual must count as over it
+def test_dense_flags_a_nan_answer(monkeypatch):
+    # NaN > level is False: the NaN residual must count as over it.  The
+    # samples are finite; the NaN enters through the right-hand side.
+    build = reference.dense_collocation_matrix
+
+    def nan_rhs(problem):
+        a, rhs = build(problem)
+        rhs[3] = np.nan
+        return a, rhs
+
+    monkeypatch.setattr(reference, "dense_collocation_matrix", nan_rhs)
     sys = make_exponential([0.0, 1.0], 100.0)
-    amp = AmplitudeSpec(components=(lambda x: np.where(x > 0.5, np.nan, 1.0) + 0j,))
-    res = dense_levin_solve(LevinProblem(system=sys, amplitude=amp, nu=32))
+    res = dense_levin_solve(LevinProblem(system=sys, amplitude=make_amplitude("one", sys), nu=32))
     assert np.isnan(res.residual)
     assert res.flagged
+
+
+def test_dense_refuses_a_nan_sample_before_factoring(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("factored a system with a NaN sample")
+
+    monkeypatch.setattr(reference, "lu_factor_quiet", unreachable)
+    monkeypatch.setattr(reference, "_chebyshev_values_on_grid", unreachable)
+    sys = make_exponential([0.0, 1.0], 100.0)
+    amp = AmplitudeSpec(components=(lambda x: np.where(x > 0.5, np.nan, 1.0) + 0j,))
+    with pytest.raises(NonFiniteAmplitudeError, match="amplitude component 0 is"):
+        dense_levin_solve(LevinProblem(system=sys, amplitude=amp, nu=32))
 
 
 def test_dense_manufactured_t5_exact():
