@@ -22,6 +22,7 @@ from .oscillator import (
 from .levin import (
     LevinProblem,
     NonFiniteAmplitudeError,
+    NuTooLargeError,
     QuadratureResult,
     UnsolvableProblemError,
     quadrature,

@@ -69,10 +69,13 @@ def banded_lu_factor(a: BandedMatrix) -> BandedLU:
     zero).
     """
     kl, ku, n = a.lower_bw, a.upper_bw, a.n
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(a.data, np.float64),
+    ab = np.empty((2 * kl + ku + 1, n), dtype=np.result_type(a.data, np.float64),
                   order="F")
-    ab[kl:, :] = a.data
-    scale = np.max(np.abs(a.data)) if a.data.size else 0.0
+    ab[:kl] = 0  # the rows gbtrf fills in; it reads only the band below them
+    ab[kl:] = a.data
+    # max |entry|, without a band-sized temporary when the band is real
+    scale = (np.max(np.abs(a.data)) if np.iscomplexobj(a.data)
+             else np.maximum(a.data.max(), -a.data.min()))
     gbtrf, = lapack.get_lapack_funcs(("gbtrf",), (ab,))
     lu, ipiv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info < 0:
@@ -96,10 +99,12 @@ def banded_lu_factor(a: BandedMatrix) -> BandedLU:
 def banded_solve(lu: BandedLU, b, adjoint: bool = False) -> np.ndarray:
     """Solve A x = b (or A^H x = b) from a prior factorization.
 
-    ``b`` may be a vector or a matrix of right-hand-side columns.  Against
-    complex factors the solve runs in complex128.  Against real factors a
-    real ``b`` is solved in float64, and a complex ``b`` of K columns as its
-    real and imaginary parts, in one real solve of 2K columns.
+    ``b`` may be a vector or a matrix of right-hand-side columns; it is
+    copied once, into the Fortran order gbtrs works in, so a Fortran-ordered
+    ``b`` costs a plain copy.  Against complex factors the solve runs in
+    complex128.  Against real factors a real ``b`` is solved in float64, and
+    a complex ``b`` of K columns as its real and imaginary parts, in one
+    real solve of 2K columns.
     """
     b = np.asarray(b)
     if b.shape[0] != lu.n:
@@ -107,17 +112,22 @@ def banded_solve(lu: BandedLU, b, adjoint: bool = False) -> np.ndarray:
     trans = 2 if adjoint else 0
     if np.iscomplexobj(lu.factors.data) or not np.iscomplexobj(b):
         dtype = np.result_type(lu.factors.data, b)
-        return _gbtrs(lu, b.astype(dtype, copy=False), trans)
+        return _gbtrs(lu, np.array(b, dtype=dtype, order="F"), trans)
     cols = b.reshape(lu.n, -1)
     k = cols.shape[1]
-    parts = _gbtrs(lu, np.hstack([cols.real, cols.imag]), trans)
+    parts = np.empty((lu.n, 2 * k), order="F")
+    parts[:, :k] = cols.real
+    parts[:, k:] = cols.imag
+    parts = _gbtrs(lu, parts, trans)
     return (parts[:, :k] + 1j * parts[:, k:]).reshape(b.shape)
 
 
 def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
-    """gbtrs in the factors' field; ``b`` must already be in it."""
+    """gbtrs in the factors' field, in place: ``b`` must already be in that
+    field, in Fortran order, and is overwritten by the solution."""
     gbtrs, = lapack.get_lapack_funcs(("gbtrs",), (lu.factors.data,))
-    x, info = gbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots, trans=trans)
+    x, info = gbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots, trans=trans,
+                    overwrite_b=1)
     if info != 0:
         raise ValueError(f"gbtrs failed with info={info}")
     return x
@@ -131,11 +141,14 @@ def reorder_block_banded(blocks) -> BandedMatrix:
     M*l2 + b of the result holds entry (l1, l2) of block (a, b), so the
     block bandwidths interleave into a single band of half-width at most
     M * max_block_halfwidth + M - 1.  The result has the blocks' common
-    dtype.
+    dtype.  For M = 1 the order is the identity and the one block is
+    returned as it is.
     """
     m = len(blocks)
     if m < 1 or any(len(row) != m for row in blocks):
         raise ValueError("blocks must form an M x M grid")
+    if m == 1:
+        return blocks[0][0]
     nub = blocks[0][0].n
     if any(blk.n != nub for row in blocks for blk in row):
         raise ValueError("inconsistent block sizes")

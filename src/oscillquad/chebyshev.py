@@ -191,21 +191,26 @@ def clenshaw_curtis_points(nu: int) -> ClenshawCurtisGrid:
 # Endpoint derivatives
 # ---------------------------------------------------------------------------
 
-def endpoint_derivative_row(n_max: int, l: int, sign: int) -> np.ndarray:
-    """Vector of [T_n^(l)](sign * 1) for n = 0..n_max.
+def endpoint_derivative_rows(n_max: int, l_max: int, sign: int) -> np.ndarray:
+    """Table of [T_n^(l)](sign * 1), row l = 0..l_max, column n = 0..n_max.
 
     Uses the multiplicative recursion
     ``[T_n^(l)](+-1) = +- (n^2 - (l-1)^2)/(2l - 1) * [T_n^(l-1)](+-1)``
-    seeded with T_n(+-1) = (+-1)^n; the factor vanishes once l exceeds n,
-    so entries with l > n come out exactly zero.
+    seeded with T_n(+-1) = (+-1)^n, one order from the one before; the
+    factor vanishes once l exceeds n, so entries with l > n come out
+    exactly zero.
     """
-    if n_max < 0 or l < 0:
-        raise ValueError("n_max and l must be nonnegative")
+    if n_max < 0 or l_max < 0:
+        raise ValueError("n_max and l_max must be nonnegative")
+    out = np.empty((l_max + 1, n_max + 1))
+    out[0] = 1.0
+    if sign != 1:
+        out[0, 1::2] = -1.0
     n = np.arange(n_max + 1, dtype=np.float64)
-    val = np.where((sign == 1) | (np.arange(n_max + 1) % 2 == 0), 1.0, -1.0)
-    for k in range(1, l + 1):
-        val = val * (sign * (n * n - (k - 1) ** 2) / (2 * k - 1))
-    return val
+    n2 = n * n
+    for k in range(1, l_max + 1):
+        np.multiply(out[k - 1], sign * (n2 - (k - 1) ** 2) / (2 * k - 1), out=out[k])
+    return out
 
 
 def real_if_zero_imag(a) -> np.ndarray:
@@ -379,7 +384,9 @@ def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
         )
     h_rho = _chebyshev_stencil(rho, w + 1)
     h_p = _chebyshev_stencil(p_mult, w)
-    data = np.outer(h_rho[2:] - h_rho[:-2], np.arange(n_rows) / 2.0) + h_p[:, None]
+    data = np.empty((2 * w + 1, n_rows), dtype=np.result_type(h_rho, h_p))
+    np.outer(h_rho[2:] - h_rho[:-2], np.arange(n_rows) / 2.0, out=data)
+    data += h_p[:, None]
     for n in range(w):  # rows n - w .. -1 of column n fold onto rows w - n .. 1
         rows = np.arange(n - w, 0)
         data[w - rows - n, n] += data[w + rows - n, n]
@@ -405,8 +412,10 @@ def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
         raise ValueError("operator matrix too small to fold: need rows up to nu + d + 2")
     n = nu + 2
     up = max(b.upper_bw, d + 1)
-    out = BandedMatrix(n, b.lower_bw, up, dtype=b.data.dtype)
-    out.data[up - b.upper_bw :] = b.data[:, :n]
+    data = np.empty((up + b.lower_bw + 1, n), dtype=b.data.dtype)
+    data[: up - b.upper_bw] = 0  # the diagonals the fold adds above b's band
+    data[up - b.upper_bw :] = b.data[:, :n]
+    out = BandedMatrix(n, b.lower_bw, up, data=data, dtype=data.dtype)
     for m in range(max(0, n - b.lower_bw), n):  # rows nu+1+l fold onto nu+1-l
         rows = np.arange(n, min(m + b.lower_bw, nu + d + 2) + 1)
         out.data[up + 2 * (nu + 1) - rows - m, m] += out.data[up + rows - m, m]
@@ -424,8 +433,14 @@ def fold_chebyshev_tail(coeffs, nu: int) -> np.ndarray:
     """
     c = np.asarray(coeffs)
     out = np.zeros(c.shape[:-1] + (nu + 2,), dtype=np.result_type(c, np.float64))
-    period = 2 * (nu + 1)
-    k = np.arange(c.shape[-1]) % period
-    k = np.where(k > nu + 1, period - k, k)
-    np.add.at(out, (..., k), c)
+    # Indices come in runs of nu + 1 from each multiple of nu + 1: even runs
+    # map onto 0, 1, ..., odd runs onto nu + 1, nu, ...  Adding the runs in
+    # turn adds each target's terms in index order.
+    for j, start in enumerate(range(0, c.shape[-1], nu + 1)):
+        run = c[..., start : start + nu + 1]
+        length = run.shape[-1]
+        if j % 2 == 0:
+            out[..., :length] += run
+        else:
+            out[..., nu + 1 : nu + 1 - length : -1] += run
     return out

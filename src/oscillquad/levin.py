@@ -39,6 +39,16 @@ arithmetic, which does the same work on half the data; a complex
 amplitude on a real engine is solved as its real and imaginary parts.
 Results carry complex128 coefficients either way.
 
+The engine keeps the interleaved operator (the residual applies it), its
+interior band ``reordered``, the banded LU, the null vectors, the endpoint
+and tail rows, the bordering solver and the signs (-1)^n that give q(-1):
+for M = 2 about 1.2 KB per unit of nu, which ``MAX_NU`` bounds before
+anything is built.  The build holds each full-length array no longer than
+it needs it: an unfolded block gives up its tail columns and is released
+as soon as it is folded, the band reaches gbtrf without a band-sized
+temporary, and the banded solves get their right-hand sides written once,
+in the Fortran order and band order gbtrs reads.
+
 All solver entry points are pure functions of their problem; a shared
 engine is read-only and results are immutable once returned.
 """
@@ -52,6 +62,7 @@ import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .banded import (
     SingularMatrixError,
@@ -69,7 +80,7 @@ from .chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    endpoint_derivative_row,
+    endpoint_derivative_rows,
     fold_chebyshev_tail,
     fold_operator,
     real_if_zero_imag,
@@ -89,6 +100,16 @@ class UnsolvableProblemError(RuntimeError):
 class NonFiniteAmplitudeError(ValueError):
     """An amplitude sample on the collocation grid, or an endpoint
     derivative the solve reads, is NaN or infinite."""
+
+
+class NuTooLargeError(ValueError):
+    """nu is above ``MAX_NU``; raised before anything is allocated."""
+
+
+#: Largest accepted nu.  An M = 2 engine keeps about 1.2 KB per unit of nu
+#: (about 1.2 GB here), and the benchmark workloads, tests and demos stay
+#: at or below nu = 32768.
+MAX_NU = 2**20
 
 
 #: Solves whose scaled residual exceeds this factor times omega * max|f|
@@ -119,6 +140,8 @@ class LevinProblem:
                     f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.nu < 2 or self.nu % 2 != 0:
             raise ValueError(f"nu must be even and >= 2, got {self.nu}")
+        if self.nu > MAX_NU:
+            raise NuTooLargeError(f"nu={self.nu} is above the limit MAX_NU = {MAX_NU}")
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if self.amplitude.dim != self.system.dim:
@@ -195,22 +218,36 @@ class CollocationEngine:
         max_deg = max(max(p.degree for row in p_mult for p in row), system.r.degree + 2)
         n_build = nu + 2 * s + 2 + max_deg + 4
         zero = Polynomial([0.0])
-        blocks_big = [
+        blocks = [
             [build_banded_operator(system.r if i == j else zero, p_mult[i][j], n_build)
              for j in range(m)]
             for i in range(m)
         ]
-        lbw = max(b.lower_bw for row in blocks_big for b in row)
+        lbw = max(b.lower_bw for row in blocks for b in row)
         self.fold_depth = lbw - 1
         if nu <= self.fold_depth:
             raise UnsupportedRegimeError(
                 f"nu={nu} too small for operator bandwidth (need nu > {self.fold_depth})"
             )
+        n_head = nu + 2
+        n_all = nu + 2 * s + 2
+        # For s >= 1, the tail columns: the scaled operator applied to each
+        # tail element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid in
+        # coefficient space.  Each unfolded block gives its share of them and
+        # is then replaced by its fold, so that its memory serves the next fold.
+        tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
+        tail_cols = np.empty((len(tail), m, n_build), dtype=self.dtype)
+        for i, j in np.ndindex(m, m):
+            for c, (k, n) in enumerate(tail):
+                if k == j:
+                    tail_cols[c, i] = blocks[i][j].column(n)
+            blocks[i][j] = fold_operator(blocks[i][j], nu, self.fold_depth)
         # The folded blocks, interleaved into one band (Hockney order: row
         # M*n + i of column M*n' + j is entry (n, n') of block (i, j)), whose
         # interior rows and columns n = 1..nu are the projected system.
-        self.operator = reorder_block_banded(
-            [[fold_operator(blk, nu, self.fold_depth) for blk in row] for row in blocks_big])
+        self.operator = reorder_block_banded(blocks)
+        del blocks
+        self.tail_ops = fold_chebyshev_tail(tail_cols, nu)
         self.reordered = self.operator.principal_submatrix(m, m * (nu + 1))
         self.lu = banded_lu_factor(self.reordered)
 
@@ -219,13 +256,12 @@ class CollocationEngine:
         # derivatives of r, r G and T_n: rows[i, l, e, j, n] is the
         # coefficient of alpha_n^[j] in condition (i, l) at x = +1 (e = 0)
         # or -1 (e = 1).  l = 0 gives the endpoint rows, l >= 1 the tail rows.
-        n_head = nu + 2
-        n_all = nu + 2 * s + 2
         self.r_derivs = self._in_field(system.r.endpoint_derivatives(s))
         gt_derivs = self._in_field([[system.r_g[j][i].endpoint_derivatives(s)
                                      for j in range(m)] for i in range(m)])
-        t_tabs = [np.stack([endpoint_derivative_row(n_all - 1, l, sign) for l in range(s + 2)])
-                  for sign in (+1, -1)]
+        t_tabs = [endpoint_derivative_rows(n_all - 1, s + 1, sign) for sign in (+1, -1)]
+        # T_n(-1) = (-1)^n, the weights of q(-1) in the boundary value.
+        self.signs = t_tabs[1][0].copy()
         rows = np.zeros((m, s + 1, 2, m, n_all), dtype=self.dtype)
         for i, l, e in np.ndindex(m, s + 1, 2):
             for p in range(l + 1):
@@ -238,22 +274,19 @@ class CollocationEngine:
 
         # One multi-column banded solve serves the null vectors of the
         # projected system (v = e_{k,end} + interior part, against the
-        # endpoint columns of the operator) and, for s >= 1, the tail
-        # columns: the scaled operator applied to each tail element e_k T_n
-        # (n = nu+2 .. nu+2s+1), aliased onto the grid in coefficient space.
-        # Every column of the scaled operator vanishes at x = +-1, and the
-        # fold keeps grid values, so these are right-hand sides as they stand.
+        # endpoint columns of the operator) and the tail columns.  Every
+        # column of the scaled operator vanishes at x = +-1, and the fold
+        # keeps grid values, so these are right-hand sides as they stand.
+        # They are written in the band's order, rows M .. M(nu+1)-1, as the
+        # C-ordered (K, nu, M) array that is the Fortran-ordered (M nu, K)
+        # matrix gbtrs reads.
         ends = [(k, end) for k in range(m) for end in (0, nu + 1)]
-        rhs_cols = np.array([self.operator.column(m * end + k).reshape(n_head, m).T
-                             for k, end in ends])
-        tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
-        self.tail_ops = np.zeros((0, m, n_head), dtype=self.dtype)
-        if tail:
-            self.tail_ops = fold_chebyshev_tail(np.array(
-                [[blocks_big[i][k].column(n) for i in range(m)] for k, n in tail]
-            ), nu)
-            rhs_cols = np.concatenate([rhs_cols, self.tail_ops])
-        heads = self._solve_interior(-rhs_cols[:, :, 1 : nu + 1])
+        rhs = np.empty((len(ends) + len(tail), nu, m), dtype=self.dtype)
+        for col, (k, end) in enumerate(ends):
+            rhs[col] = self.operator.column(m * end + k)[m : m * (nu + 1)].reshape(nu, m)
+        rhs[len(ends):] = self.tail_ops[:, :, 1 : nu + 1].transpose(0, 2, 1)
+        np.negative(rhs, out=rhs)
+        heads = self._solve_interior(rhs.transpose(0, 2, 1))
         self.null_vectors = heads[: 2 * m]
         for col, (k, end) in enumerate(ends):
             self.null_vectors[col, k, end] += 1.0
@@ -322,7 +355,11 @@ class CollocationEngine:
     def _solve_interior(self, z_mid: np.ndarray) -> np.ndarray:
         """Banded solve of the projected system for columns ``z_mid`` (K, M, nu).
 
-        Returns the heads (K, M, nu+2) with zero endpoint entries.
+        The columns reach the solve as the (M nu, K) matrix of the band's
+        order: a view when ``z_mid`` is the transpose of a C-ordered
+        (K, nu, M) array, which is that matrix in Fortran order.  Returns the
+        heads (K, M, nu+2) with zero endpoint entries, read from the
+        Fortran-ordered solution through a view.
         """
         m, nu = self.m, self.nu
         k = z_mid.shape[0]
@@ -380,8 +417,9 @@ class CollocationEngine:
         m, nu = self.m, self.nu
         grid = self.grid
         r_vals = self.r_vals
-        acc = (self.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
-               + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1))
+        acc = self.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
+        if self.s:
+            acc = acc + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1)
         r_end = r_vals[[0, -1]]
         ends = np.abs(_apply_rows(self.end_rows, coeffs[None])[0]
                       - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
@@ -403,10 +441,13 @@ def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
     a second: 8 log2(n) u sqrt(n) ||z||_2, n = 2(nu+1) the FFT length, u
     the unit roundoff (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 24).  Measured round trips stay under a
-    twentieth of it for nu from 2 to 32768."""
+    twentieth of it for nu from 2 to 32768.  The norm is BLAS nrm2, which
+    scales as it sums, so that no square underflows (a tiny amplitude) or
+    overflows."""
     n = 2 * (z.shape[-1] - 1)
     u = np.finfo(np.float64).eps / 2
-    return 8 * math.log2(n) * u * math.sqrt(n) * np.linalg.norm(z, axis=-1)
+    norm = np.array([scipy.linalg.norm(row, check_finite=False) for row in z])
+    return 8 * math.log2(n) * u * math.sqrt(n) * norm
 
 
 def _freeze(value) -> None:
@@ -461,9 +502,16 @@ def _forget_engine() -> None:
 
 
 def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Rows (R, M, n) applied to each of ``heads`` (K, M, n); returns (K, R)."""
-    products = rows[None] * heads[:, None]
-    return products.reshape(products.shape[:2] + (-1,)).sum(axis=-1)
+    """Rows (R, M, n) applied to each of ``heads`` (K, M, n); returns (K, R).
+
+    Each entry is one sum over the M n products of a row and a head, formed
+    in one reused (M, n) buffer."""
+    out = np.empty((len(heads), len(rows)), dtype=np.result_type(rows, heads))
+    products = np.empty(rows.shape[1:], dtype=out.dtype)
+    for k, head in enumerate(heads):
+        for r, row in enumerate(rows):
+            out[k, r] = np.multiply(row, head, out=products).sum()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +577,7 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
             axis=1,
         )
 
-    value = _boundary_value(problem.system, coeffs)
+    value = _boundary_value(problem.system, coeffs, eng.signs)
     f_scale = float(np.max(np.abs(f_values)))
     level = RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
     resid = eng.residual(coeffs, f_values, z, level)
@@ -548,8 +596,9 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
     )
 
 
-def _boundary_value(system: OscillatorSystem, coeffs: np.ndarray) -> complex:
-    signs = (-1.0) ** np.arange(coeffs.shape[1])
+def _boundary_value(system: OscillatorSystem, coeffs: np.ndarray,
+                    signs: np.ndarray) -> complex:
+    """w(+1) . q(+1) - w(-1) . q(-1), with ``signs`` the values (-1)^n of T_n(-1)."""
     q_plus = coeffs.sum(axis=1)
     q_minus = coeffs @ signs
     return complex(np.dot(q_plus, system.w_plus) - np.dot(q_minus, system.w_minus))

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .banded import PIVOT_RTOL, SingularMatrixError, lu_factor_quiet
-from .chebyshev import apply_inverse_collocation, endpoint_derivative_row
+from .chebyshev import apply_inverse_collocation, endpoint_derivative_rows
 from .levin import (
     RESIDUAL_FLAG_FACTOR,
     LevinProblem,
@@ -91,8 +91,7 @@ def dense_collocation_matrix(problem: LevinProblem):
 
     # Endpoint derivative tables at +1 (index 0) and -1 (index 1): T_n for
     # orders 0..s+1, each (G^T)_{ij} for orders 0..s.
-    t_end = [np.stack([endpoint_derivative_row(nb - 1, l, sign) for l in range(s + 2)])
-             for sign in (+1, -1)]
+    t_end = [endpoint_derivative_rows(nb - 1, s + 1, sign) for sign in (+1, -1)]
     gt_end = [[sys.g_transpose_entry(i, j).endpoint_derivatives(s) for j in range(m)]
               for i in range(m)]
 

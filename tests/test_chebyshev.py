@@ -23,7 +23,7 @@ from oscillquad.chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    endpoint_derivative_row,
+    endpoint_derivative_rows,
     fold_chebyshev_tail,
     fold_operator,
     real_if_zero_imag,
@@ -136,7 +136,7 @@ def test_rational_endpoint_derivatives_near_a_root_of_the_denominator(n):
     t_n = Polynomial(np.polynomial.chebyshev.cheb2poly(np.eye(n + 1)[n]))
     table = RationalFunction(xa2 * t_n, xa2).endpoint_derivatives(6)
     for e, sign in enumerate((+1, -1)):
-        exact = np.array([endpoint_derivative_row(n, l, sign)[n] for l in range(7)])
+        exact = endpoint_derivative_rows(n, 6, sign)[:, n]
         assert np.max(np.abs(table[e] - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
@@ -199,8 +199,8 @@ def test_grid_rejects_bad_nu(nu):
 # ---------------------------------------------------------------------------
 
 def endpoint_derivative(n, l, sign):
-    """[T_n^(l)](sign * 1), the last entry of its endpoint_derivative_row."""
-    return endpoint_derivative_row(n, l, sign)[n]
+    """[T_n^(l)](sign * 1), the last entry of row l of endpoint_derivative_rows."""
+    return endpoint_derivative_rows(n, l, sign)[l, n]
 
 
 def test_endpoint_derivative_seed_and_first_order():
@@ -242,9 +242,9 @@ def test_endpoint_derivative_above_degree_is_zero():
 
 def test_endpoint_derivative_rejects_negative():
     with pytest.raises(ValueError):
-        endpoint_derivative_row(-1, 0, 1)
+        endpoint_derivative_rows(-1, 0, 1)
     with pytest.raises(ValueError):
-        endpoint_derivative_row(2, -1, 1)
+        endpoint_derivative_rows(2, -1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 import math
 import sys as sys_module
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -36,13 +37,14 @@ from oscillquad.chebyshev import (
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
-    endpoint_derivative_row,
+    endpoint_derivative_rows,
     fold_operator,
 )
 from oscillquad.levin import (
     CollocationEngine,
     LevinProblem,
     NonFiniteAmplitudeError,
+    NuTooLargeError,
     UnsolvableProblemError,
     _solve_fast,
     quadrature,
@@ -255,7 +257,7 @@ def test_endpoint_derivative_conditions_hold():
     gt_table = sys.g_transpose_entry(0, 0).endpoint_derivatives(s)
     for l in range(1, s + 1):
         for gt, sign in zip(gt_table, (+1, -1)):
-            t_rows = [endpoint_derivative_row(nb - 1, k, sign) for k in range(l + 2)]
+            t_rows = endpoint_derivative_rows(nb - 1, l + 1, sign)
             lhs = np.dot(coeffs, t_rows[l + 1])
             for p in range(l + 1):
                 lhs += math.comb(l, p) * gt[p] * np.dot(coeffs, t_rows[l - p])
@@ -388,6 +390,25 @@ def test_engine_works_in_the_field_of_the_system(s):
             assert getattr(eng, name).dtype == dtype, name
         if s:
             assert eng.tail_matrix.dtype == dtype
+
+
+#: Traced peak of an engine build over the bytes of its LU factors.  The
+#: engine keeps about 2.6 times them (operator, interior band, factors,
+#: null vectors, endpoint rows) and the build peaks at 3.16; this leaves
+#: under 10 % above that, so a band-sized temporary, or unfolded blocks
+#: held past their fold, fail.
+ENGINE_PEAK_OVER_FACTORS = 3.4
+
+
+def test_engine_build_peak_memory_stays_near_what_it_keeps():
+    sys = make_bessel(1, 2.0, 3000.0)
+    tracemalloc.start()
+    try:
+        eng = CollocationEngine(sys, 8192, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / eng.lu.factors.data.nbytes <= ENGINE_PEAK_OVER_FACTORS
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -597,15 +618,18 @@ def test_certificate_bounds_the_exact_residual_and_keeps_its_flag(data):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_dct_rounding_bound_covers_the_round_trip(kind):
+    # at scale 1e-250 the squares of the coefficients underflow, which must
+    # not take the bound to zero
     rng = np.random.default_rng(5)
     for nu in [2, 4, 6, 14, 62, 510, 2046, 8190, 8192, 32768]:
-        for _ in range(4):
+        for scale in [1.0, 1e-250, 1e-250, 1.0]:
             v = rng.standard_normal(nu + 2)
             if kind == "complex":
                 v = v + 1j * rng.standard_normal(nu + 2)
+            v = v * scale
             z = apply_inverse_collocation(v)
             err = np.abs(apply_collocation_matrix(z) - v).max()
-            assert err <= levin._dct_rounding_bound(z[None])[0], nu
+            assert err <= levin._dct_rounding_bound(z[None])[0], (nu, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1117,6 +1141,15 @@ def test_problem_validation():
     bare = AmplitudeSpec(components=(lambda x: np.ones_like(x, dtype=complex),))
     with pytest.raises(ValueError):
         LevinProblem(system=sys, amplitude=bare, nu=16, s=1)
+
+
+def test_problem_rejects_nu_above_the_limit():
+    # construction allocates nothing, so neither case builds an engine
+    sys = make_exponential([0.0, 1.0], 100.0)
+    with pytest.raises(NuTooLargeError, match=f"MAX_NU = {levin.MAX_NU}"):
+        LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=levin.MAX_NU + 2)
+    assert LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=levin.MAX_NU).nu == levin.MAX_NU
+    assert issubclass(NuTooLargeError, ValueError)
 
 
 @pytest.mark.parametrize("field,kwargs", [("nu", {"nu": 64.0}), ("s", {"nu": 64, "s": 1.5})])
