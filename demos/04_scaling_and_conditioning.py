@@ -43,7 +43,7 @@ def main():
     print(f"{'nu':>5s} {'full dense system':>18s} {'banded middle':>14s} {'2x2 border':>11s}")
     for nu in (16, 64, 128, 256):
         engine = CollocationEngine(system, nu, 0)
-        cond_banded = banded_condest(engine.reordered)
+        cond_banded = banded_condest(engine.interior_band())
         cond_border = dense_condest(engine.border)
         a, _ = dense_collocation_matrix(
             LevinProblem(system=system, amplitude=amplitude, nu=nu))

@@ -227,7 +227,7 @@ def cmd_condition(config: dict, args) -> list[list[str]]:
     for nu in grid:
         problem = _build_problem(config, nu=nu)
         engine = CollocationEngine(problem.system, nu, problem.s)
-        cond_banded = banded_condest(engine.reordered)
+        cond_banded = banded_condest(engine.interior_band())
         cond_border = dense_condest(engine.border)
         if nu <= full_cap and dense_within_guard(problem):
             a, _ = dense_collocation_matrix(problem)

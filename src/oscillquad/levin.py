@@ -11,15 +11,18 @@ below their rounding floor are left out.  Endpoint-derivative
 conditions (s >= 1) add 2s tail coefficients per component.  The engine
 holds the folded operator once, as one band interleaved over components
 (Hockney order), and every endpoint condition, l = 0 (the endpoint rows)
-through s (the tail rows), in one table built by one Leibniz rule.  The tail
-columns do not depend on f: the engine solves them once, in coefficient
-space (no DCT), in the same multi-column banded solve as the null vectors,
-and each call then needs only one small dense 2Ms x 2Ms system.  A call
-costs M DCT-I transforms for every s, one inverse per component for the
-right-hand side.  The residual check bounds the interior rows in
-coefficient space, against those transforms' output; only when that
-bound does not clear the flag level does it spend one forward transform
-per component on the exact value-space residual.
+through s (the tail rows), as one matrix of rows over the whole basis,
+built by one Leibniz rule.  It solves the null vectors and the tail
+columns once, in coefficient space (no DCT), in one multi-column banded
+solve, as one correction basis, and inverts the small system the rows
+make on it once too (the border through its pseudo-inverse, the 2Ms x 2Ms
+tail system through its pivot screen) as one small matrix W.  A call
+then costs M inverse DCT-I transforms, one one-column banded solve and
+two matrix products: g = rows head, then head + basis^T W (targets - g).
+The residual check takes the endpoint rows as one more product and
+bounds the interior rows in coefficient space, against the transforms'
+output; only when that bound does not clear the flag level does it spend
+one forward transform per component on the exact value-space residual.
 
 The engine does not depend on f, so one slot keeps the last engine built
 and every fast solve goes through it (``_engine_for``).  Its key is the
@@ -33,21 +36,22 @@ once; a stream of distinct systems pays it every call, as without reuse.
 The engine works in the field of its system: float64 when r and every
 r G entry have real coefficients (the Bessel family, and real custom
 systems), complex128 otherwise (an exponential phase makes r G = i omega
-g' imaginary).  A real system's operator, banded LU, null vectors and
-border are then real, and a real amplitude is solved and checked in real
-arithmetic, which does the same work on half the data; a complex
-amplitude on a real engine is solved as its real and imaginary parts.
-Results carry complex128 coefficients either way.
+g' imaginary).  A real system's operator, banded LU, condition rows,
+correction basis and W are then real, and a real amplitude is solved and
+checked in real arithmetic, which does the same work on half the data; a
+complex amplitude on a real engine is solved as its real and imaginary
+parts.  Results carry complex128 coefficients either way.
 
-The engine keeps the interleaved operator (the residual applies it), its
-interior band ``reordered``, the banded LU, the null vectors, the endpoint
-and tail rows, the bordering solver and the signs (-1)^n that give q(-1):
-for M = 2 about 1.2 KB per unit of nu, which ``MAX_NU`` bounds before
-anything is built.  The build holds each full-length array no longer than
-it needs it: an unfolded block gives up its tail columns and is released
-as soon as it is folded, the band reaches gbtrf without a band-sized
-temporary, and the banded solves get their right-hand sides written once,
-in the Fortran order and band order gbtrs reads.
+The engine keeps the interleaved operator (the residual applies it), the
+banded LU, the condition rows, the correction basis, W and the signs
+(-1)^n that give q(-1): for M = 2 about 0.9 KB per unit of nu, which
+``MAX_NU`` bounds before anything is built.  It factors the interior
+band without keeping it (``interior_band`` cuts it again on demand).  The
+build holds each full-length array no longer than it needs it: an
+unfolded block gives up its tail columns and is released as soon as it
+is folded, the band reaches gbtrf without a band-sized temporary, and the
+banded solves get their right-hand sides written once, in the Fortran
+order and band order gbtrs reads.  Each build is logged at DEBUG level.
 
 All solver entry points are pure functions of their problem; a shared
 engine is read-only and results are immutable once returned.
@@ -88,7 +92,8 @@ from .chebyshev import (
 from .oscillator import AmplitudeSpec, OscillatorSystem
 
 
-#: Fallbacks are logged here; silent until the application configures logging.
+#: Fallbacks and engine builds are logged here; silent until the application
+#: configures logging.
 _log = logging.getLogger("oscillquad")
 _log.addHandler(logging.NullHandler())
 
@@ -106,8 +111,8 @@ class NuTooLargeError(ValueError):
     """nu is above ``MAX_NU``; raised before anything is allocated."""
 
 
-#: Largest accepted nu.  An M = 2 engine keeps about 1.2 KB per unit of nu
-#: (about 1.2 GB here), and the benchmark workloads, tests and demos stay
+#: Largest accepted nu.  An M = 2 engine keeps about 0.9 KB per unit of nu
+#: (about 1 GB here), and the benchmark workloads, tests and demos stay
 #: at or below nu = 32768.
 MAX_NU = 2**20
 
@@ -248,66 +253,91 @@ class CollocationEngine:
         self.operator = reorder_block_banded(blocks)
         del blocks
         self.tail_ops = fold_chebyshev_tail(tail_cols, nu)
-        self.reordered = self.operator.principal_submatrix(m, m * (nu + 1))
-        self.lu = banded_lu_factor(self.reordered)
+        self.lu = banded_lu_factor(self.interior_band())
+        self.interior_floor = float((self.grid.sin2 * np.abs(self.r_vals))[1:-1].min())
 
-        # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, as rows
-        # over the whole basis (head and tail), by Leibniz on exact
-        # derivatives of r, r G and T_n: rows[i, l, e, j, n] is the
-        # coefficient of alpha_n^[j] in condition (i, l) at x = +1 (e = 0)
-        # or -1 (e = 1).  l = 0 gives the endpoint rows, l >= 1 the tail rows.
+        # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, as one
+        # matrix over the whole basis (head and tail), by Leibniz on exact
+        # derivatives of r, r G and T_n: row (l, i, e) holds the
+        # coefficients of condition (i, l) at x = +1 (e = 0) or -1 (e = 1),
+        # over alpha_n^[j] at column j (nu+2s+2) + n.  The 2M rows of l = 0
+        # are the endpoint rows, the rest the tail rows.
         self.r_derivs = self._in_field(system.r.endpoint_derivatives(s))
         gt_derivs = self._in_field([[system.r_g[j][i].endpoint_derivatives(s)
                                      for j in range(m)] for i in range(m)])
         t_tabs = [endpoint_derivative_rows(n_all - 1, s + 1, sign) for sign in (+1, -1)]
         # T_n(-1) = (-1)^n, the weights of q(-1) in the boundary value.
         self.signs = t_tabs[1][0].copy()
-        rows = np.zeros((m, s + 1, 2, m, n_all), dtype=self.dtype)
-        for i, l, e in np.ndindex(m, s + 1, 2):
+        rows = np.zeros((s + 1, m, 2, m, n_all), dtype=self.dtype)
+        for l, i, e in np.ndindex(s + 1, m, 2):
             for p in range(l + 1):
                 c = math.comb(l, p)
-                rows[i, l, e, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
+                rows[l, i, e, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
                 for j in range(m):
-                    rows[i, l, e, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
-        self.end_rows = rows[:, 0].reshape(2 * m, m, n_all)
-        self.tail_rows = rows[:, 1:].reshape(2 * m * s, m, n_all)
+                    rows[l, i, e, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
+        self.rows = rows.reshape(2 * m * (s + 1), m * n_all)
 
-        # One multi-column banded solve serves the null vectors of the
-        # projected system (v = e_{k,end} + interior part, against the
-        # endpoint columns of the operator) and the tail columns.  Every
-        # column of the scaled operator vanishes at x = +-1, and the fold
-        # keeps grid values, so these are right-hand sides as they stand.
-        # They are written in the band's order, rows M .. M(nu+1)-1, as the
-        # C-ordered (K, nu, M) array that is the Fortran-ordered (M nu, K)
-        # matrix gbtrs reads.
-        ends = [(k, end) for k in range(m) for end in (0, nu + 1)]
-        rhs = np.empty((len(ends) + len(tail), nu, m), dtype=self.dtype)
-        for col, (k, end) in enumerate(ends):
+        # The correction basis, over the same columns: the 2M null vectors
+        # of the projected system (v = e_{k,end} + interior part, against
+        # the endpoint columns of the operator), then the 2Ms tail columns
+        # (tail element e_{k,n} + the interior part that cancels the
+        # operator applied to it).  Their interior parts come from one
+        # multi-column banded solve.  Every column of the scaled operator
+        # vanishes at x = +-1, and the fold keeps grid values, so these are
+        # right-hand sides as they stand.  They are written in the band's
+        # order, rows M .. M(nu+1)-1, as the C-ordered (K, nu, M) array
+        # that is the Fortran-ordered (M nu, K) matrix gbtrs reads.
+        units = [(k, end) for k in range(m) for end in (0, nu + 1)] + tail
+        rhs = np.empty((len(units), nu, m), dtype=self.dtype)
+        for col, (k, end) in enumerate(units[: 2 * m]):
             rhs[col] = self.operator.column(m * end + k)[m : m * (nu + 1)].reshape(nu, m)
-        rhs[len(ends):] = self.tail_ops[:, :, 1 : nu + 1].transpose(0, 2, 1)
+        rhs[2 * m :] = self.tail_ops[:, :, 1 : nu + 1].transpose(0, 2, 1)
         np.negative(rhs, out=rhs)
-        heads = self._solve_interior(rhs.transpose(0, 2, 1))
-        self.null_vectors = heads[: 2 * m]
-        for col, (k, end) in enumerate(ends):
-            self.null_vectors[col, k, end] += 1.0
+        x = banded_solve(self.lu, rhs.reshape(len(units), nu * m).T)
+        basis = np.zeros((len(units), m, n_all), dtype=x.dtype)
+        basis[:, :, 1 : nu + 1] = x.reshape(nu, m, len(units)).transpose(2, 1, 0)
+        for col, (k, n) in enumerate(units):
+            basis[col, k, n] = 1.0
+        self.basis = basis.reshape(len(units), m * n_all)
 
-        # Bordering matrix: the 2M endpoint rows applied to the 2M null vectors.
-        self.border = _apply_rows(self.end_rows[..., :n_head], self.null_vectors).T
-        self.border_solver = self._border_pseudo_inverse(n_head)
+        # A call looks for the weights w that make head + basis^T w meet
+        # every condition: C w = targets - rows head, where the condition
+        # matrix C = rows basis^T has the blocks [[B, E], [T, U]] (B, the
+        # border, is the endpoint rows on the null vectors).  W solves it by
+        # blocks, B through its pseudo-inverse P and the tail system
+        # S = U - T P E (the tail rows on the tail columns after their
+        # endpoint correction) through one solve against the identity:
+        # W = [[P + P E S^-1 T P, -P E S^-1], [-S^-1 T P, S^-1]].
+        # C, and the head's condition values in each call, are summed
+        # pairwise (numpy's sum of elementwise products): the endpoint rows
+        # weigh coefficient n by up to n^2, their sums cancel, and P can
+        # amplify their rounding by its condition number.
+        products = np.empty_like(self.rows)
+        cond = np.stack([np.multiply(self.rows, v, out=products).sum(axis=1)
+                         for v in self.basis], axis=1)
+        self.border = cond[: 2 * m, : 2 * m]
+        pinv = self._border_pseudo_inverse()
+        # Why the tail system failed its pivot screen; each call raises it.
+        self.tail_singular = None
         if s == 0:
+            self.weights = pinv
             return
+        end_fix = pinv @ cond[: 2 * m, 2 * m :]
+        try:
+            s_inv = dense_solve(cond[2 * m :, 2 * m :] - cond[2 * m :, : 2 * m] @ end_fix,
+                                np.eye(len(tail)))
+        except SingularMatrixError as exc:
+            self.tail_singular = exc
+            self.weights = None
+            return
+        lower = np.hstack([-s_inv @ cond[2 * m :, : 2 * m] @ pinv, s_inv])
+        self.weights = np.vstack([np.hstack([pinv, np.zeros_like(end_fix)])
+                                  - end_fix @ lower, lower])
 
-        # tail_heads[c] solves the cleared system on the head for minus the
-        # operator applied to tail element c, whose endpoint values are the
-        # tail columns of the endpoint rows.  Applied to head + sum_c t_c
-        # (tail_heads[c] + tail element c), the tail rows give the 2Ms x 2Ms
-        # tail system.
-        self.tail_heads = self._meet_endpoint_rows(
-            heads[2 * m :], -self.end_rows[..., n_head:].reshape(2 * m, len(tail)).T)
-        self.tail_matrix = (
-            _apply_rows(self.tail_rows[..., :n_head], self.tail_heads).T
-            + self.tail_rows[..., n_head:].reshape(len(tail), len(tail))
-        )
+    def interior_band(self) -> BandedMatrix:
+        """The projected system: rows and columns M .. M(nu+1)-1 of the
+        operator, a new band that the engine factors and does not keep."""
+        return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1))
 
     def _in_field(self, values) -> np.ndarray:
         """Values of this system's polynomials in the engine's field; a real
@@ -317,7 +347,7 @@ class CollocationEngine:
             return np.ascontiguousarray(values.real)
         return values.astype(np.complex128, copy=False)
 
-    def _border_pseudo_inverse(self, n_head: int) -> np.ndarray:
+    def _border_pseudo_inverse(self) -> np.ndarray:
         """Solver for the bordering system that leaves out unresolved directions.
 
         The endpoint rows weigh coefficient n by up to n^2, so border column
@@ -331,11 +361,10 @@ class CollocationEngine:
         that dividing by it overflows, as at a tiny omega), or no resolved
         direction at all, raises.
         """
-        absv = np.abs(self.null_vectors)
+        m = self.m
+        absv = np.abs(self.basis[: 2 * m])
         floor = np.finfo(np.float64).eps * np.maximum(*(
-            np.tensordot(absv, np.abs(self.end_rows[e::2, :, :n_head]),
-                         axes=([1, 2], [1, 2])).max(axis=1)
-            for e in (0, 1)))
+            (absv @ np.abs(self.rows[e : 2 * m : 2]).T).max(axis=1) for e in (0, 1)))
         with np.errstate(all="ignore"):
             scaled = self.border / floor
         finite = np.isfinite(scaled).all(axis=0)
@@ -352,47 +381,30 @@ class CollocationEngine:
 
     # -- cleared solves ------------------------------------------------------
 
-    def _solve_interior(self, z_mid: np.ndarray) -> np.ndarray:
-        """Banded solve of the projected system for columns ``z_mid`` (K, M, nu).
+    def solve_cleared(self, rhs_scaled: np.ndarray,
+                      targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the cleared collocation system A alpha = b.
 
-        The columns reach the solve as the (M nu, K) matrix of the band's
-        order: a view when ``z_mid`` is the transpose of a C-ordered
-        (K, nu, M) array, which is that matrix in Fortran order.  Returns the
-        heads (K, M, nu+2) with zero endpoint entries, read from the
-        Fortran-ordered solution through a view.
+        ``rhs_scaled[i, m]`` holds (1 - c_m^2) b_i(c_m) on the grid, zero at
+        the endpoints; ``targets`` the values of the conditions in row order:
+        b_i(+1), b_i(-1) in (component, end) order, then for s >= 1 the
+        cleared endpoint derivatives in (order, component, end) order.
+        Returns the coefficients (M, nu+2s+2), real when the engine and the
+        right-hand side are both real, and z (M, nu+2), the DCT-I
+        coefficients of each component's scaled right-hand side, which
+        ``residual`` checks against.  Raises the engine's
+        ``SingularMatrixError`` when its tail system failed the pivot screen.
         """
+        if self.tail_singular is not None:
+            raise SingularMatrixError(str(self.tail_singular), self.tail_singular.pivot_index)
         m, nu = self.m, self.nu
-        k = z_mid.shape[0]
-        x = banded_solve(self.lu, z_mid.transpose(2, 1, 0).reshape(nu * m, k))
-        heads = np.zeros((k, m, nu + 2), dtype=x.dtype)
-        heads[:, :, 1 : nu + 1] = x.reshape(nu, m, k).transpose(2, 1, 0)
-        return heads
-
-    def _meet_endpoint_rows(self, heads: np.ndarray, rhs_end: np.ndarray) -> np.ndarray:
-        """Add to each of ``heads`` (K, M, nu+2) the null-vector combination
-        that meets the 2M endpoint rows with values ``rhs_end`` (K, 2M), in
-        (component, end) order."""
-        rhs = (rhs_end - _apply_rows(self.end_rows[..., : self.nu + 2], heads)).T
-        delta = self.border_solver @ rhs
-        return heads + np.tensordot(delta.T, self.null_vectors, axes=1)
-
-    def solve_cleared(self, rhs_scaled_mid: np.ndarray,
-                      rhs_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the cleared collocation system A alpha = b on the nu+2 head.
-
-        ``rhs_scaled_mid[i, m]`` holds (1 - c_m^2) b_i(c_m) at the interior
-        points m = 1..nu; ``rhs_end`` the unscaled values b_i(+1), b_i(-1)
-        in (component, end) order.  Returns the coefficients of shape
-        (M, nu+2), real when the engine and the right-hand side are both
-        real, and z (M, nu+2), the DCT-I coefficients of each component's
-        scaled right-hand side, which ``residual`` checks against.
-        """
-        nu = self.nu
-        z = np.array([apply_inverse_collocation(np.pad(row, 1)) for row in rhs_scaled_mid])
-        z_mid = z[None, :, 1 : nu + 1].astype(
-            np.result_type(self.dtype, rhs_scaled_mid), copy=False)
-        heads = self._solve_interior(z_mid)
-        return self._meet_endpoint_rows(heads, rhs_end[None])[0], z
+        z = np.array([apply_inverse_collocation(row) for row in rhs_scaled])
+        x = banded_solve(self.lu, z[:, 1 : nu + 1].T.reshape(-1))
+        coeffs = np.zeros((m, nu + 2 * self.s + 2), dtype=np.result_type(x, targets))
+        coeffs[:, 1 : nu + 1] = x.reshape(nu, m).T
+        head = coeffs.reshape(-1)
+        head += (self.weights @ (targets - (self.rows * head).sum(axis=1))) @ self.basis
+        return coeffs, z
 
     # -- residual --------------------------------------------------------------
 
@@ -421,10 +433,9 @@ class CollocationEngine:
         if self.s:
             acc = acc + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1)
         r_end = r_vals[[0, -1]]
-        ends = np.abs(_apply_rows(self.end_rows, coeffs[None])[0]
+        ends = np.abs(self.rows[: 2 * m] @ coeffs.reshape(-1)
                       - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
-        bound = (np.abs(acc - z).sum(axis=1) + _dct_rounding_bound(z)).max() / (
-            grid.sin2 * np.abs(r_vals))[1:-1].min()
+        bound = (np.abs(acc - z).sum(axis=1) + _dct_rounding_bound(z)).max() / self.interior_floor
         # np.maximum keeps a NaN, which is not <= level.
         certified = float(np.maximum(bound, ends.max()))
         if certified <= level:
@@ -450,19 +461,19 @@ def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
     return 8 * math.log2(n) * u * math.sqrt(n) * norm
 
 
-def _freeze(value) -> None:
-    """Mark every array in ``value`` read-only, through lists, tuples,
-    banded matrices and dataclasses (LU factors, permutations, grids)."""
+def _arrays(value):
+    """Every array in ``value``, through lists, tuples, banded matrices and
+    dataclasses (LU factors, grids)."""
     if isinstance(value, np.ndarray):
-        value.setflags(write=False)
+        yield value
     elif isinstance(value, (list, tuple)):
         for item in value:
-            _freeze(item)
+            yield from _arrays(item)
     elif isinstance(value, BandedMatrix):
-        value.data.setflags(write=False)
+        yield value.data
     elif is_dataclass(value):
         for field in fields(value):
-            _freeze(getattr(value, field.name))
+            yield from _arrays(getattr(value, field.name))
 
 
 #: The last engine built, as (key, engine); None when empty.
@@ -487,10 +498,17 @@ def _engine_for(system: OscillatorSystem, nu: int, s: int) -> tuple[CollocationE
     # a build that raises leaves the slot empty.
     del slot
     _engine_slot = None
+    t0 = time.perf_counter()
     engine = CollocationEngine(system, nu, s)
     # Every later call with this key shares the engine: no caller may write
     # to it.  ``system`` stays the caller's.
-    _freeze([value for name, value in vars(engine).items() if name != "system"])
+    kept = list(_arrays([value for name, value in vars(engine).items() if name != "system"]))
+    for array in kept:
+        array.setflags(write=False)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("built engine: M=%d nu=%d s=%d field=%s in %.6f s, keeping %d bytes",
+                   engine.m, nu, s, engine.dtype.name, time.perf_counter() - t0,
+                   sum(array.nbytes for array in kept))
     _engine_slot = (key, engine)
     return engine, False
 
@@ -501,27 +519,14 @@ def _forget_engine() -> None:
     _engine_slot = None
 
 
-def _apply_rows(rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Rows (R, M, n) applied to each of ``heads`` (K, M, n); returns (K, R).
-
-    Each entry is one sum over the M n products of a row and a head, formed
-    in one reused (M, n) buffer."""
-    out = np.empty((len(heads), len(rows)), dtype=np.result_type(rows, heads))
-    products = np.empty(rows.shape[1:], dtype=out.dtype)
-    for k, head in enumerate(heads):
-        for r, row in enumerate(rows):
-            out[k, r] = np.multiply(row, head, out=products).sum()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Endpoint-derivative (tail) conditions for s >= 1
 # ---------------------------------------------------------------------------
 
 def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
                            f_values: np.ndarray) -> np.ndarray:
-    """d^l [r f_i] at the endpoints, one per tail row in (component i,
-    order l >= 1, end) order, by Leibniz on exact r derivatives; real when
+    """d^l [r f_i] at the endpoints, one per tail row in (order l >= 1,
+    component i, end) order, by Leibniz on exact r derivatives; real when
     they all are."""
     f_ders = [
         [f_values[:, 0]] + [amplitude.derivative(q, +1) for q in range(1, eng.s + 1)],
@@ -529,7 +534,7 @@ def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
     ]
     return real_if_zero_imag([
         sum(math.comb(l, p) * eng.r_derivs[e][p] * f_ders[e][l - p][i] for p in range(l + 1))
-        for i in range(eng.m) for l in range(1, eng.s + 1) for e in (0, 1)
+        for l in range(1, eng.s + 1) for i in range(eng.m) for e in (0, 1)
     ])
 
 
@@ -563,19 +568,14 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
     _check_finite_samples(f_values, grid.points)
     f_values = real_if_zero_imag(f_values)
     r_vals = eng.r_vals
-    rhs_scaled_mid = (grid.sin2 * r_vals * f_values)[:, 1:-1]
-    rhs_end = (r_vals[[0, -1]] * f_values[:, [0, -1]]).reshape(-1)
-
-    coeffs, z = eng.solve_cleared(rhs_scaled_mid, rhs_end)
+    # sin2 is zero at the endpoints, so the scaled right-hand side is too
+    rhs_scaled = grid.sin2 * r_vals * f_values
+    targets = (r_vals[[0, -1]] * f_values[:, [0, -1]]).reshape(-1)
     if eng.s >= 1:
-        rhs = (_cleared_f_derivatives(eng, problem.amplitude, f_values)
-               - _apply_rows(eng.tail_rows[..., : eng.nu + 2], coeffs[None])[0])
-        tail_flat = dense_solve(eng.tail_matrix, rhs)
-        coeffs = np.concatenate(
-            [coeffs + np.tensordot(tail_flat, eng.tail_heads, axes=1),
-             tail_flat.reshape(eng.m, 2 * eng.s)],
-            axis=1,
-        )
+        targets = np.concatenate(
+            [targets, _cleared_f_derivatives(eng, problem.amplitude, f_values)])
+
+    coeffs, z = eng.solve_cleared(rhs_scaled, targets)
 
     value = _boundary_value(problem.system, coeffs, eng.signs)
     f_scale = float(np.max(np.abs(f_values)))

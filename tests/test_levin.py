@@ -27,6 +27,7 @@ from oscillquad import levin
 from oscillquad.banded import (
     BandedLU,
     SingularMatrixError,
+    banded_solve,
     reorder_block_banded,
 )
 from oscillquad.chebyshev import (
@@ -104,7 +105,7 @@ def interior_solve(system, f_samples, nu):
     """
     eng = CollocationEngine(system, nu)
     z = apply_inverse_collocation(eng.grid.sin2 * f_samples)
-    return eng._solve_interior(z[None, None, 1 : nu + 1])[0, 0]
+    return np.pad(banded_solve(eng.lu, z[1 : nu + 1]), 1)
 
 
 def test_interior_solve_zero_rhs():
@@ -143,7 +144,7 @@ def test_null_vectors_structure_and_kernel():
     sys = make_exponential([0.0, 1.0], omega)
     nu = 32
     grid = clenshaw_curtis_points(nu)
-    v1, v2 = CollocationEngine(sys, nu).null_vectors[:, 0]
+    v1, v2 = CollocationEngine(sys, nu).basis
     assert v1[0] == 1.0 and v1[-1] == 0.0
     assert v2[0] == 0.0 and v2[-1] == 1.0
     rows = dense_scalar_rows(sys, grid, nu + 2)
@@ -363,18 +364,23 @@ def test_block_s_zero_amplitude():
 @pytest.mark.parametrize("m,s", [(1, 1), (1, 3), (2, 1), (2, 2)])
 def test_engine_tail_columns_match_one_cleared_solve_each(m, s):
     # the tail columns are solved once per engine, in one multi-column
-    # banded solve and one border solve, with no DCT round trip; each must
-    # equal solve_cleared of minus the operator applied to that tail element
+    # banded solve, with no DCT round trip; the interior part of each basis
+    # column must equal the banded solve, through the DCT, of minus the
+    # operator applied to that tail element
     nu = 24
     sys = make_exponential([0.0, 1.0], 80.0) if m == 1 else make_bessel(1, 2.0, 80.0)
     eng = CollocationEngine(sys, nu, s)
-    n_head = nu + 2
-    tail = [(k, n) for k in range(m) for n in range(n_head, n_head + 2 * s)]
-    assert eng.tail_heads.shape == (len(tail), m, n_head)
+    n_all = nu + 2 + 2 * s
+    tail = [(k, n) for k in range(m) for n in range(nu + 2, n_all)]
+    basis = eng.basis.reshape(-1, m, n_all)
+    assert basis.shape == (2 * m + len(tail), m, n_all)
     for c, (k, n) in enumerate(tail):
-        vals = np.array([apply_collocation_matrix(eng.tail_ops[c, i]) for i in range(m)])
-        want, _ = eng.solve_cleared(-vals[:, 1:-1], -eng.end_rows[:, k, n])
-        assert np.max(np.abs(eng.tail_heads[c] - want)) <= 1e-12 * np.max(np.abs(want))
+        z = np.array([apply_inverse_collocation(-apply_collocation_matrix(eng.tail_ops[c, i]))
+                      for i in range(m)])
+        want = banded_solve(eng.lu, z[:, 1 : nu + 1].T.reshape(-1)).reshape(nu, m).T
+        got = basis[2 * m + c]
+        assert got[k, n] == 1.0 and not got[:, 0].any() and np.count_nonzero(got[:, nu + 1 :]) == 1
+        assert np.max(np.abs(got[:, 1 : nu + 1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("s", [0, 2])
@@ -385,19 +391,17 @@ def test_engine_works_in_the_field_of_the_system(s):
                        (make_exponential([0.0, 1.0], 100.0), np.complex128)):
         eng = CollocationEngine(sys, 32, s)
         assert eng.lu.factors.data.dtype == dtype
-        assert eng.reordered.data.dtype == dtype
-        for name in ("null_vectors", "border", "end_rows", "tail_rows", "tail_ops"):
+        assert eng.interior_band().data.dtype == dtype
+        for name in ("basis", "border", "rows", "tail_ops", "weights"):
             assert getattr(eng, name).dtype == dtype, name
-        if s:
-            assert eng.tail_matrix.dtype == dtype
 
 
 #: Traced peak of an engine build over the bytes of its LU factors.  The
-#: engine keeps about 2.6 times them (operator, interior band, factors,
-#: null vectors, endpoint rows) and the build peaks at 3.16; this leaves
-#: under 10 % above that, so a band-sized temporary, or unfolded blocks
-#: held past their fold, fail.
-ENGINE_PEAK_OVER_FACTORS = 3.4
+#: engine keeps about 2.05 times them (operator, factors, condition rows,
+#: correction basis) and the build peaks at 2.77; this leaves under 10 %
+#: above that, so a band-sized temporary, unfolded blocks held past their
+#: fold, or a kept interior band, fail.
+ENGINE_PEAK_OVER_FACTORS = 3.0
 
 
 def test_engine_build_peak_memory_stays_near_what_it_keeps():
@@ -436,7 +440,7 @@ def test_engine_null_vectors_are_annihilated_on_the_interior():
     sys = make_bessel(1, 2.0, 60.0)
     nu = 20
     eng = CollocationEngine(sys, nu, 1)
-    for v in eng.null_vectors:
+    for v in eng.basis[:4].reshape(4, 2, nu + 4)[:, :, : nu + 2]:
         interior = eng.operator.matvec(v.T.reshape(-1))[2 : 2 * (nu + 1)]
         assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(v))
 
@@ -489,7 +493,7 @@ def test_reordered_band_equals_the_per_block_construction(m, s):
     mids = [[fold_operator(b, nu, depth).principal_submatrix(1, nu + 1) for b in row]
             for row in big]
     want = reorder_block_banded(mids)
-    got = eng.reordered
+    got = eng.interior_band()
     assert (got.n, got.lower_bw, got.upper_bw) == (want.n, want.lower_bw, want.upper_bw)
     assert got.data.dtype == want.data.dtype
     assert np.array_equal(got.data, want.data)
@@ -508,21 +512,76 @@ def test_end_rows_match_the_dense_endpoint_rows(m, s):
     for i in range(m):
         for e, (point, r_end) in enumerate(((0, sys.r(1.0)), (nu + 1, sys.r(-1.0)))):
             want = a[i * per_comp + point]
-            got = eng.end_rows[2 * i + e].reshape(-1) / r_end
+            got = eng.rows[2 * i + e] / r_end
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (i, e)
 
 
-def test_every_traced_name_resolves():
-    # the benchmark's span recorder patches these names in place and reads
-    # them through owner.__dict__: deleting one breaks its traced runs
+def benchmark_spans():
+    """The benchmark's span recorder module, ``benchmarks/spans.py``."""
     bench_dir = str(Path(__file__).resolve().parent.parent / "benchmarks")
     sys_module.path.insert(0, bench_dir)
     try:
         import spans
     finally:
         sys_module.path.remove(bench_dir)
-    for owner, attr, _name, _work in spans.instrumented_targets():
+    return spans
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's span recorder patches these names in place and reads
+    # them through owner.__dict__: deleting one breaks its traced runs
+    for owner, attr, _name, _work in benchmark_spans().instrumented_targets():
         assert attr in owner.__dict__, (owner, attr)
+
+
+@pytest.mark.parametrize("m,s", [(1, 0), (1, 1), (2, 1), (2, 2)])
+def test_a_reused_engine_call_does_no_f_independent_work(m, s):
+    # counted as the benchmark's --trace 1 run counts them: a call on a
+    # reused engine runs the M inverse transforms of its right-hand side
+    # and one one-column banded solve, and nothing that the build did
+    spans = benchmark_spans()
+    sys = engine_system(m)
+    levin._forget_engine()
+    with spans.Tracer() as build:
+        quadrature(LevinProblem(system=sys, amplitude=runge_shifted(0.0, m), nu=32, s=s))
+    with spans.Tracer() as call:
+        res = quadrature(LevinProblem(system=sys, amplitude=runge_shifted(0.3, m), nu=32, s=s))
+    assert res.engine_reused and res.fallback_reason is None
+    built = spans.layer_metrics(build.spans, 1)
+    assert built["levin.engine_calls"][0] == 1
+    assert sum(span[0] == "banded.dense_solve" for span in build.spans) == min(s, 1)
+    reused = spans.layer_metrics(call.spans, 1)
+    assert reused["levin.engine_calls"][0] == 0
+    assert reused["chebyshev.dct_calls"][0] == m
+    assert reused["banded.solve_calls"][0] == 1 and reused["banded.solve_cols"][0] == 1
+    assert reused["banded.factor_calls"][0] == 0
+    assert not any(span[0] == "banded.dense_solve" for span in call.spans)
+
+
+def test_a_tail_system_that_fails_its_screen_falls_back_from_one_build(monkeypatch):
+    # the screen runs once, at the build; every call on that engine then
+    # raises the same SingularMatrixError and falls back, and the engine
+    # stays in its slot
+    spans = benchmark_spans()
+    screen = levin.dense_solve
+
+    def zero_last_column(a, b):
+        a = np.array(a)
+        a[:, -1] = 0.0
+        return screen(a, b)
+
+    monkeypatch.setattr(levin, "dense_solve", zero_last_column)
+    sys = make_exponential([0.0, 1.0], 100.0)
+    levin._forget_engine()
+    with spans.Tracer() as tracer:
+        results = [quadrature(LevinProblem(system=sys, amplitude=runge_shifted(shift),
+                                           nu=32, s=1))
+                   for shift in (0.0, 0.3)]
+    assert [r.path for r in results] == ["dense_fallback"] * 2
+    assert results[0].fallback_reason == results[1].fallback_reason == (
+        "SingularMatrixError: zero column 1 in dense system")
+    assert sum(span[0] == "levin.engine" for span in tracer.spans) == 1
+    assert sum(span[0] == "banded.dense_solve" for span in tracer.spans) == 1
 
 
 def _residual_call(problem):
@@ -578,7 +637,7 @@ def test_exact_residual_is_the_value_space_check(m, s):
     interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
         grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
     r_end = r_vals[[0, -1]]
-    ends = np.abs(levin._apply_rows(eng.end_rows, coeffs[None])[0]
+    ends = np.abs(eng.rows[: 2 * m] @ coeffs.reshape(-1)
                   - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
     assert eng.residual(coeffs, f_values, z, 0.0) == float(max(interior.max(), ends.max()))
 
@@ -614,6 +673,78 @@ def test_certificate_bounds_the_exact_residual_and_keeps_its_flag(data):
     assert certificate >= exact or math.isnan(certificate)
     assert res.flagged == (not exact <= level)
     assert res.residual <= level or res.residual == exact or math.isnan(exact)
+
+
+def draw_phase(data, label):
+    """A phase g of degree 1 to 3 with g' != 0 on [-1, 1], and max |g'| there."""
+    degree = data.draw(st.integers(1, 3), label=f"{label} degree")
+    c2, c3 = (data.draw(st.floats(-0.5, 0.5), label=f"{label} c{k}") if degree >= k else 0.0
+              for k in (2, 3))
+    c1 = (2 * abs(c2) + 3 * abs(c3) + data.draw(st.floats(0.2, 1.5), label=f"{label} margin")) * (
+        data.draw(st.sampled_from([1.0, -1.0]), label=f"{label} sign"))
+    g = [0.0, c1, c2, c3][: degree + 1]
+    return g, float(np.abs(Polynomial(g).deriv()(np.linspace(-1.0, 1.0, 1001))).max())
+
+
+def block_diagonal_exponential(g1, g2, omega):
+    """The M = 2 system of two independent exponential weights exp(i omega g_k)."""
+    zero = Polynomial([0.0])
+    rg1, rg2 = (1j * omega * Polynomial(g).deriv() for g in (g1, g2))
+    ends = [[np.exp(1j * omega * complex(Polynomial(g)(x))) for g in (g1, g2)]
+            for x in (1.0, -1.0)]
+    return OscillatorSystem(dim=2, omega=omega, r=Polynomial([1.0]), r_g=((rg1, zero), (zero, rg2)),
+                            w_plus=np.array(ends[0]), w_minus=np.array(ends[1]))
+
+
+#: Closed-form error allowed to an unflagged fast value in the fuzz below,
+#: in units of max|f| times max|r| / min|r| on the grid (the range that
+#: clearing the denominator r spans: 1 for an exponential phase, up to
+#: 2e4 for a Bessel shift |a| near 1).  Over 4500 seeded draws of its
+#: distribution, 1500 of them Bessel systems with |a| - 1 down to 1e-4, the
+#: parent of the two-product call path stayed below 3.6e-12 (s = 2; 1.1e-12
+#: at s = 0, 7.4e-14 at s = 1), and this change the same; the bound leaves
+#: a factor of about 30.
+CLOSED_FORM_TOL = 1e-10
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_fast_path_matches_closed_forms(data):
+    # manufactured amplitudes have exact values; s >= 1 stays in the range
+    # README documents (omega max|g'| at most nu / 4)
+    nu = 2 * data.draw(st.integers(16, 128), label="nu/2")
+    s = data.draw(st.integers(0, 2), label="s")
+    n = data.draw(st.integers(0, 12), label="n")
+    freq = 10 ** data.draw(st.floats(0.0, math.log10(nu / 4) if s else 4.0), label="log10 freq")
+    kind = data.draw(st.sampled_from(["exponential", "bessel", "block"]), label="kind")
+    if kind == "exponential":
+        g, g_max = draw_phase(data, "g")
+        sys = make_exponential(g, freq / g_max)
+    elif kind == "bessel":
+        a = data.draw(st.floats(1.01, 4.0), label="|a|") * data.draw(st.sampled_from([1, -1]))
+        sys = make_bessel(data.draw(st.integers(0, 5), label="gamma"), a, freq)
+    else:
+        (g1, max1), (g2, max2) = draw_phase(data, "g1"), draw_phase(data, "g2")
+        sys = block_diagonal_exponential(g1, g2, freq / max(max1, max2))
+    amp = manufactured_amplitude(sys, n)
+    points = clenshaw_curtis_points(nu).points
+    f_max = np.abs(amp.values(points)).max()
+    r_range = np.abs(sys.r(points)).max() / np.abs(sys.r(points)).min()
+    try:
+        res = _solve_fast(LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
+    except (SingularMatrixError, UnsupportedRegimeError):
+        return
+    if res.flagged:
+        return
+    expected = manufactured_expected_value(sys, n)
+    assert abs(res.value - expected) <= CLOSED_FORM_TOL * f_max * r_range
+    if kind == "block":
+        # the same integral with the two components swapped
+        swapped = block_diagonal_exponential(g2, g1, sys.omega)
+        amp = AmplitudeSpec(components=amp.components[::-1], deriv_plus=amp.deriv_plus[:, ::-1],
+                            deriv_minus=amp.deriv_minus[:, ::-1])
+        other = _solve_fast(LevinProblem(system=swapped, amplitude=amp, nu=nu, s=s))
+        assert abs(other.value - res.value) <= 1e-13 * f_max
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -941,6 +1072,31 @@ def test_fallbacks_are_logged(caplog):
     assert record.getMessage() == f"scalar_s0 result returned flagged: {res.fallback_reason}"
 
 
+def test_engine_builds_are_logged_at_debug_level_only(caplog, monkeypatch):
+    sys = make_bessel(1, 2.0, 100.0)
+    prob = LevinProblem(system=sys, amplitude=runge_amplitude(2), nu=32, s=1)
+    caplog.set_level(logging.DEBUG, logger="oscillquad")
+    levin._forget_engine()
+    quadrature(prob)
+    (record,) = caplog.records
+    assert record.name == "oscillquad" and record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert message.startswith("built engine: M=2 nu=32 s=1 field=float64 in ")
+    kept = int(message.split("keeping ")[1].split()[0])
+    eng, reused = levin._engine_for(sys, 32, 1)
+    assert reused
+    assert kept >= sum(a.nbytes for a in (eng.operator.data, eng.lu.factors.data,
+                                          eng.rows, eng.basis))
+    caplog.clear()
+    quadrature(prob)    # a reused engine is not built again
+    assert caplog.records == []
+    # above DEBUG the record is neither formatted nor its bytes summed
+    caplog.set_level(logging.INFO, logger="oscillquad")
+    monkeypatch.setattr(levin._log, "debug", lambda *args: pytest.fail("logged at INFO"))
+    levin._forget_engine()
+    assert quadrature(prob).fallback_reason is None
+
+
 def test_minimal_even_grid():
     # nu = 2 is the smallest legal grid for the linear-phase operator
     omega = 200.0
@@ -1101,7 +1257,7 @@ def test_shared_engine_arrays_are_read_only(m, s):
     assert len(arrays) > 10
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        eng.null_vectors[0, 0, 0] = 1.0
+        eng.basis[0, 0] = 1.0
     # the read-only factor still solves
     res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=24, s=s))
     assert res.engine_reused and res.fallback_reason is None
