@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import Polynomial, RationalFunction
+from .chebyshev import Polynomial, RationalFunction, rational_endpoint_derivatives
 from .oscillator import AmplitudeSpec, OscillatorSystem
 
 #: Depth of the endpoint-derivative tables built for registry amplitudes.
@@ -88,7 +88,8 @@ def manufactured_amplitude(system: OscillatorSystem, n: int) -> AmplitudeSpec:
     def make_f(rat):
         return lambda x: rat(np.asarray(x, dtype=np.float64)).astype(np.complex128)
 
-    tables = np.array([rat.endpoint_derivatives(MAX_DERIVATIVE_ORDER)[:, 1:] for rat in rats])
+    tables = rational_endpoint_derivatives([rat.num for rat in rats], system.r,
+                                           MAX_DERIVATIVE_ORDER)[:, :, 1:]
     dp, dm = tables.transpose(1, 2, 0)
     return AmplitudeSpec(components=tuple(make_f(r) for r in rats),
                          deriv_plus=dp, deriv_minus=dm, name=f"manufactured:{n}")

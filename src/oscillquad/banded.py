@@ -158,17 +158,12 @@ def reorder_block_banded(blocks) -> BandedMatrix:
     up = m * max_up + (m - 1)
     dtype = np.result_type(*(blk.data for row in blocks for blk in row))
     out = BandedMatrix(m * nub, lo, up, dtype=dtype)
-    for a in range(m):
-        for b in range(m):
-            blk = blocks[a][b]
-            for off in range(-blk.upper_bw, blk.lower_bw + 1):
-                l0 = max(0, -off)
-                l1 = min(nub, nub - off)
-                if l0 >= l1:
-                    continue
-                dd = m * off + (a - b)
-                cols = slice(b + m * l0, b + m * (l1 - 1) + 1, m)
-                out.data[up + dd, cols] = blk.data[blk.upper_bw + off, l0:l1]
+    for a, b in np.ndindex(m, m):
+        # Diagonal off of block (a, b) is diagonal M off + a - b of the result,
+        # on columns b, b + M, ...; its zero slots land on zero slots.
+        blk = blocks[a][b]
+        top = up + a - b - m * blk.upper_bw
+        out.data[top : top + m * (blk.upper_bw + blk.lower_bw) + 1 : m, b::m] = blk.data
     return out
 
 

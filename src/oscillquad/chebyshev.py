@@ -44,11 +44,15 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
+        c = coeffs  # a 1-D complex128 array is taken as it is
+        if not (type(c) is np.ndarray and c.dtype == np.complex128 and c.ndim == 1):
+            c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
         if c.size == 0:
             c = np.zeros(1, dtype=np.complex128)
-        nz = np.nonzero(c)[0]
-        last = nz[-1] if nz.size else 0
+        last = c.size - 1
+        if c[last] == 0:
+            nz = np.nonzero(c)[0]
+            last = nz[-1] if nz.size else 0
         self.coeffs = c[: last + 1].copy()
         self.coeffs.setflags(write=False)
 
@@ -61,7 +65,14 @@ class Polynomial:
         return self.degree == 0 and self.coeffs[0] == 0
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        """Horner's rule, with the operations of numpy's ``polyval``."""
+        c = self.coeffs
+        if isinstance(x, (tuple, list)):
+            x = np.asarray(x)
+        v = c[-1] + x * 0
+        for a in c[-2::-1]:
+            v = a + v * x
+        return v
 
     def deriv(self) -> "Polynomial":
         if self.degree == 0:
@@ -69,15 +80,8 @@ class Polynomial:
         return Polynomial(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
 
     def endpoint_derivatives(self, l_max: int) -> np.ndarray:
-        """d^l/dx^l at +1 (row 0) and -1 (row 1) for l = 0..l_max, by Horner
-        on the exact derivative coefficients; orders above the degree are 0."""
-        ends = np.array([1.0, -1.0])
-        out = np.zeros((2, l_max + 1), dtype=np.complex128)
-        c = self.coeffs
-        for l in range(min(l_max, self.degree) + 1):
-            out[:, l] = np.polynomial.polynomial.polyval(ends, c)
-            c = c[1:] * np.arange(1, len(c))
-        return out
+        """d^l/dx^l at +1 (row 0) and -1 (row 1), l = 0..l_max; 0 above the degree."""
+        return polynomial_endpoint_derivatives([self], l_max)[0]
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -105,6 +109,26 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
+def polynomial_endpoint_derivatives(polys, l_max: int) -> np.ndarray:
+    """d^l/dx^l at x = +1 (e = 0) and -1 (e = 1), l = 0..l_max, of each of
+    ``polys`` as entry [k, e, l]: one pass of Horner's rule over the table of
+    derivative coefficients c[1:] * (1, 2, ...), zero-padded to one length.
+    Each entry gets polyval's operations on its own coefficients: at a real
+    x, a padding zero times x is (0 x, 0), polyval's first term x * 0."""
+    n = max(len(p.coeffs) for p in polys)
+    table = np.zeros((len(polys), l_max + 1, n), dtype=np.complex128)
+    for k, p in enumerate(polys):
+        table[k, 0, : len(p.coeffs)] = p.coeffs
+    for l in range(1, min(l_max, n - 1) + 1):
+        np.multiply(table[:, l - 1, 1 : n - l + 1], np.arange(1, n - l + 1),
+                    out=table[:, l, : n - l])
+    ends = np.array([1.0, -1.0])
+    v = table[:, :, -1, None] + ends * 0
+    for j in range(n - 2, -1, -1):
+        v = table[:, :, j, None] + v * ends
+    return v.transpose(0, 2, 1)
+
+
 #: 1 - x^2, the row-scaling prefactor used throughout the collocation setup.
 ONE_MINUS_X2 = Polynomial([1.0, 0.0, -1.0])
 
@@ -129,17 +153,24 @@ class RationalFunction:
         return self.num(x) / self.den(x)
 
     def endpoint_derivatives(self, l_max: int) -> np.ndarray:
-        """d^l/dx^l at +1 (row 0) and -1 (row 1) for l = 0..l_max:
-        f^(l) = (num^(l) - sum_{p=1..l} C(l, p) den^(p) f^(l-p)) / den."""
-        num = self.num.endpoint_derivatives(l_max)
-        den = self.den.endpoint_derivatives(l_max)
-        out = np.empty_like(num)
-        for l in range(l_max + 1):
-            acc = num[:, l].copy()
-            for p in range(1, l + 1):
-                acc -= math.comb(l, p) * den[:, p] * out[:, l - p]
-            out[:, l] = acc / den[:, 0]
-        return out
+        """d^l/dx^l at +1 (row 0) and -1 (row 1) for l = 0..l_max."""
+        return rational_endpoint_derivatives([self.num], self.den, l_max)[0]
+
+
+def rational_endpoint_derivatives(nums, den: Polynomial, l_max: int) -> np.ndarray:
+    """d^l/dx^l at +1 and -1 of num / den for each of ``nums``, laid out as in
+    :func:`polynomial_endpoint_derivatives`: f^(l) = (num^(l) - sum_{p=1..l}
+    C(l, p) den^(p) f^(l-p)) / den, subtracting left to right."""
+    table = polynomial_endpoint_derivatives([*nums, den], l_max)
+    num, den = table[:-1], table[-1]
+    out = np.empty_like(num)
+    terms = np.empty_like(num)  # num^(l), then the terms p = 1..l
+    for l in range(l_max + 1):
+        terms[..., 0] = num[..., l]
+        terms[..., 1 : l + 1] = ([math.comb(l, p) for p in range(1, l + 1)]
+                                 * den[:, 1 : l + 1] * out[..., l - 1 :: -1][..., :l])
+        out[..., l] = np.subtract.reduce(terms[..., : l + 1], axis=-1) / den[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +348,14 @@ class BandedMatrix:
         """Rows and columns lo..hi-1 as a new banded matrix."""
         if not (0 <= lo < hi <= self.n):
             raise ValueError("invalid submatrix range")
-        data = _zero_rows_outside(self.data[:, lo:hi].copy(), self.upper_bw)
-        return BandedMatrix(hi - lo, self.lower_bw, self.upper_bw, data=data,
-                            dtype=self.data.dtype)
-
-
-def _zero_rows_outside(data: np.ndarray, upper_bw: int) -> np.ndarray:
-    """Zero, in place, the band slots of ``data`` that address rows outside [0, n).
-
-    ``data`` is in LAPACK band layout; only the two corner triangles are
-    touched, one diagonal at a time.
-    """
-    n = data.shape[1]
-    for slot in range(data.shape[0]):
-        off = slot - upper_bw
-        if off < 0:
-            data[slot, : min(-off, n)] = 0
-        elif off > 0:
-            data[slot, max(n - off, 0) :] = 0
-    return data
+        n = hi - lo
+        data = self.data[:, lo:hi].copy()
+        for off in range(-self.upper_bw, self.lower_bw + 1):  # zero rows outside [0, n)
+            if off < 0:
+                data[self.upper_bw + off, : min(-off, n)] = 0
+            elif off > 0:
+                data[self.upper_bw + off, max(n - off, 0) :] = 0
+        return BandedMatrix(n, self.lower_bw, self.upper_bw, data=data, dtype=self.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +375,8 @@ def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
     """
     a = real_if_zero_imag(p.coeffs)
     h = np.zeros(2 * w + 3, dtype=a.dtype)
-    for a_k in a[::-1]:
+    h[w + 1] = 0 + a[-1]  # the first step, on a zero buffer
+    for a_k in a[-2::-1]:
         h[1:-1] = 0.5 * (h[:-2] + h[2:])
         h[w + 1] += a_k
     return h[1:-1]
@@ -385,12 +406,17 @@ def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
     h_rho = _chebyshev_stencil(rho, w + 1)
     h_p = _chebyshev_stencil(p_mult, w)
     data = np.empty((2 * w + 1, n_rows), dtype=np.result_type(h_rho, h_p))
-    np.outer(h_rho[2:] - h_rho[:-2], np.arange(n_rows) / 2.0, out=data)
+    np.multiply((h_rho[2:] - h_rho[:-2])[:, None], np.arange(n_rows) / 2.0, out=data)
     data += h_p[:, None]
-    for n in range(w):  # rows n - w .. -1 of column n fold onto rows w - n .. 1
-        rows = np.arange(n - w, 0)
-        data[w - rows - n, n] += data[w + rows - n, n]
-    return BandedMatrix(n_rows, w, w, data=_zero_rows_outside(data, w), dtype=data.dtype)
+    # Row -t of column n < w (slot w - t - n, t <= w - n, j = n + t - 1 < w)
+    # folds onto row t; it and row n_rows - 1 + t of column n_rows - 1 - n
+    # are the slots for rows outside the matrix, then zeroed.
+    n, j = np.nonzero(np.arange(w)[:, None] <= np.arange(w))
+    below = w - 1 - j
+    data[below + 2 * (j - n + 1), n] += data[below, n]
+    data[below, n] = 0
+    data[2 * w - below, n_rows - 1 - n] = 0
+    return BandedMatrix(n_rows, w, w, data=data, dtype=data.dtype)
 
 
 def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
@@ -415,12 +441,17 @@ def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
     data = np.empty((up + b.lower_bw + 1, n), dtype=b.data.dtype)
     data[: up - b.upper_bw] = 0  # the diagonals the fold adds above b's band
     data[up - b.upper_bw :] = b.data[:, :n]
-    out = BandedMatrix(n, b.lower_bw, up, data=data, dtype=data.dtype)
-    for m in range(max(0, n - b.lower_bw), n):  # rows nu+1+l fold onto nu+1-l
-        rows = np.arange(n, min(m + b.lower_bw, nu + d + 2) + 1)
-        out.data[up + 2 * (nu + 1) - rows - m, m] += out.data[up + rows - m, m]
-    _zero_rows_outside(out.data, up)
-    return out
+    # Slot up + r - c of column c is row r = nu+1+l >= n; rows up to nu+d+2
+    # fold onto row nu+1-l, then all are zeroed (rows below 0 already are).
+    cols = np.arange(max(0, n - b.lower_bw), n)
+    r, c = np.nonzero(np.arange(n, n + b.lower_bw)[:, None] <= cols + b.lower_bw)
+    r += n
+    c = cols[c]
+    slot = up + r - c
+    k = np.count_nonzero(r <= nu + d + 2)  # r is ascending
+    data[slot[:k] - 2 * (r[:k] - nu - 1), c[:k]] += data[slot[:k], c[:k]]
+    data[slot, c] = 0
+    return BandedMatrix(n, b.lower_bw, up, data=data, dtype=data.dtype)
 
 
 def fold_chebyshev_tail(coeffs, nu: int) -> np.ndarray:

@@ -2,59 +2,43 @@
 
 The collocation operator, row-scaled by (1 - x^2) and with denominators
 cleared by r(x), acts on the Chebyshev basis as a banded matrix.  Folding
-the high-order columns back onto the grid (aliasing) yields a finite
-banded system whose interior part is solved through one DCT-I per
-component plus a banded LU; the two boundary degrees of freedom per
-component that the row scaling annihilates are recovered from precomputed
-null vectors through a small dense bordering system, whose directions
-below their rounding floor are left out.  Endpoint-derivative
-conditions (s >= 1) add 2s tail coefficients per component.  The engine
-holds the folded operator once, as one band interleaved over components
-(Hockney order), and every endpoint condition, l = 0 (the endpoint rows)
-through s (the tail rows), as one matrix of rows over the whole basis,
-built by one Leibniz rule.  It solves the null vectors and the tail
-columns once, in coefficient space (no DCT), in one multi-column banded
-solve, as one correction basis, and inverts the small system the rows
-make on it once too (the border through its pseudo-inverse, the 2Ms x 2Ms
-tail system through its pivot screen) as one small matrix W.  A call
-then costs M inverse DCT-I transforms, one one-column banded solve and
-two matrix products: g = rows head, then head + basis^T W (targets - g).
-The residual check takes the endpoint rows as one more product and
-bounds the interior rows in coefficient space, against the transforms'
-output; only when that bound does not clear the flag level does it spend
-one forward transform per component on the exact value-space residual.
+its high-order columns back onto the grid (aliasing) gives a finite banded
+system, solved through one DCT-I per component and a banded LU.  The two
+boundary unknowns per component that the row scaling annihilates come
+from null vectors through a small bordering system, whose directions below
+their rounding floor are left out; for s >= 1 endpoint-derivative
+conditions add 2s tail coefficients per component.
 
-The engine does not depend on f, so one slot keeps the last engine built
-and every fast solve goes through it (``_engine_for``).  Its key is the
-values the engine reads: nu, s and the coefficients of r and of r G
-(which fix M).  Separately built systems with equal values share an
-engine; a change of omega, phase, Bessel order or shift, nu or s misses.
-On a miss the old engine is dropped before the new one is built, so two
-never live at once.  Repeated amplitudes on one system pay the build
-once; a stream of distinct systems pays it every call, as without reuse.
+The engine holds what does not depend on f: the folded operator as one
+band interleaved over components (Hockney order), its LU, every endpoint
+condition (l = 0..s) as one matrix of rows over the whole basis, the null
+vectors and tail columns as one correction basis (one multi-column banded
+solve, in coefficient space), and one small matrix W that inverts the
+conditions on that basis.  A call then costs M inverse DCT-I transforms,
+one one-column banded solve and two products: g = rows head, then
+head + basis^T W (targets - g).  The residual check bounds the interior
+rows in coefficient space, and spends one forward transform per component
+only when that bound does not clear the flag level.
 
-The engine works in the field of its system: float64 when r and every
-r G entry have real coefficients (the Bessel family, and real custom
-systems), complex128 otherwise (an exponential phase makes r G = i omega
-g' imaginary).  A real system's operator, banded LU, condition rows,
-correction basis and W are then real, and a real amplitude is solved and
-checked in real arithmetic, which does the same work on half the data; a
-complex amplitude on a real engine is solved as its real and imaginary
-parts.  Results carry complex128 coefficients either way.
+Building, folding and interleaving each operator block takes a fixed
+number of numpy calls (small index arrays, one strided slice), not a loop
+over its columns or diagonals; the condition rows take one broadcast
+Leibniz product per (l, p), and the endpoint derivatives of r and every
+r G entry one pass of Horner's rule.  Each entry still gets the
+floating-point operations, in the order, of its entry-by-entry
+definition: the border pseudo-inverse amplifies a one-ulp change.
 
-The engine keeps the interleaved operator (the residual applies it), the
-banded LU, the condition rows, the correction basis, W and the signs
-(-1)^n that give q(-1): for M = 2 about 0.9 KB per unit of nu, which
-``MAX_NU`` bounds before anything is built.  It factors the interior
-band without keeping it (``interior_band`` cuts it again on demand).  The
-build holds each full-length array no longer than it needs it: an
-unfolded block gives up its tail columns and is released as soon as it
-is folded, the band reaches gbtrf without a band-sized temporary, and the
-banded solves get their right-hand sides written once, in the Fortran
-order and band order gbtrs reads.  Each build is logged at DEBUG level.
-
-All solver entry points are pure functions of their problem; a shared
-engine is read-only and results are immutable once returned.
+One slot keeps the last engine built (``_engine_for``), keyed by nu, s and
+the coefficients of r and r G (which fix M); a miss drops the old engine
+before building the new one, so two never live at once.  The engine works
+in the field of its system: float64 when r and every r G entry are real
+(the Bessel family), complex128 otherwise; a complex amplitude on a real
+engine is solved as its real and imaginary parts.  An M = 2 engine keeps
+about 0.9 KB per unit of nu, which ``MAX_NU`` bounds; the build releases
+each unfolded block as soon as it is folded, and writes the band and the
+right-hand sides once, in the layout gbtrf and gbtrs read.  Each build is
+logged at DEBUG level.  All entry points are pure functions of their
+problem; a shared engine is read-only.
 """
 
 from __future__ import annotations
@@ -63,7 +47,7 @@ import logging
 import math
 import operator
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -87,6 +71,7 @@ from .chebyshev import (
     endpoint_derivative_rows,
     fold_chebyshev_tail,
     fold_operator,
+    polynomial_endpoint_derivatives,
     real_if_zero_imag,
 )
 from .oscillator import AmplitudeSpec, OscillatorSystem
@@ -209,22 +194,23 @@ class CollocationEngine:
         self.s = s
         self.m = m
         self.grid = clenshaw_curtis_points(nu)
+        # r, then the entries (i, j) of (r G)^T, which are r_g[j][i]
+        polys = [system.r] + [system.r_g[j][i] for i in range(m) for j in range(m)]
         # The field of the system, decided here once: float64 exactly when r
         # and every r G entry have real coefficients, complex128 otherwise.
         # The operator blocks below come out in the same field.
-        polys = [system.r] + [p for row in system.r_g for p in row]
-        self.dtype = np.dtype(
-            np.complex128 if any(p.coeffs.imag.any() for p in polys) else np.float64)
+        self.dtype = np.dtype(np.complex128 if np.concatenate([p.coeffs for p in polys]).imag.any()
+                              else np.float64)
         self.r_vals = self._in_field(system.r(self.grid.points))
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range:
         # (1-x^2) r d/dx on the diagonal blocks, plus (1-x^2) (r G)^T.
-        p_mult = [[ONE_MINUS_X2 * system.r_g[j][i] for j in range(m)] for i in range(m)]
-        max_deg = max(max(p.degree for row in p_mult for p in row), system.r.degree + 2)
+        p_mult = [ONE_MINUS_X2 * p for p in polys[1:]]
+        max_deg = max(max(p.degree for p in p_mult), system.r.degree + 2)
         n_build = nu + 2 * s + 2 + max_deg + 4
-        zero = Polynomial([0.0])
+        zero = Polynomial([0.0]) if m > 1 else None
         blocks = [
-            [build_banded_operator(system.r if i == j else zero, p_mult[i][j], n_build)
+            [build_banded_operator(system.r if i == j else zero, p_mult[m * i + j], n_build)
              for j in range(m)]
             for i in range(m)
         ]
@@ -236,10 +222,9 @@ class CollocationEngine:
             )
         n_head = nu + 2
         n_all = nu + 2 * s + 2
-        # For s >= 1, the tail columns: the scaled operator applied to each
-        # tail element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid in
-        # coefficient space.  Each unfolded block gives its share of them and
-        # is then replaced by its fold, so that its memory serves the next fold.
+        # For s >= 1, the tail columns: the scaled operator applied to each tail
+        # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid.  Each
+        # unfolded block gives its share, then is replaced by its fold.
         tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
         tail_cols = np.empty((len(tail), m, n_build), dtype=self.dtype)
         for i, j in np.ndindex(m, m):
@@ -256,37 +241,32 @@ class CollocationEngine:
         self.lu = banded_lu_factor(self.interior_band())
         self.interior_floor = float((self.grid.sin2 * np.abs(self.r_vals))[1:-1].min())
 
-        # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, as one
-        # matrix over the whole basis (head and tail), by Leibniz on exact
-        # derivatives of r, r G and T_n: row (l, i, e) holds the
-        # coefficients of condition (i, l) at x = +1 (e = 0) or -1 (e = 1),
-        # over alpha_n^[j] at column j (nu+2s+2) + n.  The 2M rows of l = 0
-        # are the endpoint rows, the rest the tail rows.
-        self.r_derivs = self._in_field(system.r.endpoint_derivatives(s))
-        gt_derivs = self._in_field([[system.r_g[j][i].endpoint_derivatives(s)
-                                     for j in range(m)] for i in range(m)])
-        t_tabs = [endpoint_derivative_rows(n_all - 1, s + 1, sign) for sign in (+1, -1)]
+        # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, by Leibniz
+        # on exact derivatives of r, r G and T_n: row (l, i, e) holds condition
+        # (i, l) at x = +1 (e = 0) or -1 (e = 1), over alpha_n^[j] at column
+        # j (nu+2s+2) + n; the 2M rows of l = 0 are the endpoint rows.  Each
+        # entry adds its terms for p = 0..l, the r term before the (r G)^T one.
+        ends = self._in_field(polynomial_endpoint_derivatives(polys, s))
+        self.r_derivs = ends[0]
+        gt_derivs = ends[1:].reshape(m, m, 2, s + 1).transpose(0, 2, 1, 3)  # (i, e, j, p)
+        t_tabs = np.array([endpoint_derivative_rows(n_all - 1, s + 1, sign) for sign in (+1, -1)])
         # T_n(-1) = (-1)^n, the weights of q(-1) in the boundary value.
-        self.signs = t_tabs[1][0].copy()
+        self.signs = t_tabs[1, 0].copy()
         rows = np.zeros((s + 1, m, 2, m, n_all), dtype=self.dtype)
-        for l, i, e in np.ndindex(s + 1, m, 2):
+        diag = np.einsum("liein->lien", rows)  # a view: rows of condition i on column block i
+        for l in range(s + 1):
             for p in range(l + 1):
                 c = math.comb(l, p)
-                rows[l, i, e, i] += c * self.r_derivs[e][p] * t_tabs[e][l + 1 - p]
-                for j in range(m):
-                    rows[l, i, e, j] += c * gt_derivs[i][j][e][p] * t_tabs[e][l - p]
+                diag[l] += c * self.r_derivs[:, p, None] * t_tabs[:, l + 1 - p]
+                rows[l] += (c * gt_derivs[..., p])[..., None] * t_tabs[:, None, l - p]
         self.rows = rows.reshape(2 * m * (s + 1), m * n_all)
 
         # The correction basis, over the same columns: the 2M null vectors
-        # of the projected system (v = e_{k,end} + interior part, against
-        # the endpoint columns of the operator), then the 2Ms tail columns
-        # (tail element e_{k,n} + the interior part that cancels the
-        # operator applied to it).  Their interior parts come from one
-        # multi-column banded solve.  Every column of the scaled operator
-        # vanishes at x = +-1, and the fold keeps grid values, so these are
-        # right-hand sides as they stand.  They are written in the band's
-        # order, rows M .. M(nu+1)-1, as the C-ordered (K, nu, M) array
-        # that is the Fortran-ordered (M nu, K) matrix gbtrs reads.
+        # (e_{k,end} + the interior part against endpoint column (k, end)),
+        # then the 2Ms tail columns (e_{k,n} + the interior part cancelling
+        # the operator on it), from one multi-column banded solve.  The
+        # right-hand sides are the C-ordered (K, nu, M) array that is the
+        # Fortran-ordered (M nu, K) matrix gbtrs reads, in the band's order.
         units = [(k, end) for k in range(m) for end in (0, nu + 1)] + tail
         rhs = np.empty((len(units), nu, m), dtype=self.dtype)
         for col, (k, end) in enumerate(units[: 2 * m]):
@@ -300,21 +280,17 @@ class CollocationEngine:
             basis[col, k, n] = 1.0
         self.basis = basis.reshape(len(units), m * n_all)
 
-        # A call looks for the weights w that make head + basis^T w meet
-        # every condition: C w = targets - rows head, where the condition
-        # matrix C = rows basis^T has the blocks [[B, E], [T, U]] (B, the
-        # border, is the endpoint rows on the null vectors).  W solves it by
-        # blocks, B through its pseudo-inverse P and the tail system
-        # S = U - T P E (the tail rows on the tail columns after their
-        # endpoint correction) through one solve against the identity:
-        # W = [[P + P E S^-1 T P, -P E S^-1], [-S^-1 T P, S^-1]].
-        # C, and the head's condition values in each call, are summed
-        # pairwise (numpy's sum of elementwise products): the endpoint rows
-        # weigh coefficient n by up to n^2, their sums cancel, and P can
-        # amplify their rounding by its condition number.
+        # A call solves C w = targets - rows head for the weights of the
+        # basis, C = rows basis^T = [[B, E], [T, U]] (B, the border: endpoint
+        # rows on null vectors).  W does it by blocks, B through its
+        # pseudo-inverse P and S = U - T P E through one solve against the
+        # identity: W = [[P + P E S^-1 T P, -P E S^-1], [-S^-1 T P, S^-1]].
+        # C and each call's condition values are summed pairwise: the endpoint
+        # rows weigh coefficient n by up to n^2, and P amplifies their rounding.
         products = np.empty_like(self.rows)
-        cond = np.stack([np.multiply(self.rows, v, out=products).sum(axis=1)
-                         for v in self.basis], axis=1)
+        cond = np.empty((len(self.rows), len(self.basis)), dtype=self.rows.dtype)
+        for k, v in enumerate(self.basis):
+            np.multiply(self.rows, v, out=products).sum(axis=1, out=cond[:, k])
         self.border = cond[: 2 * m, : 2 * m]
         pinv = self._border_pseudo_inverse()
         # Why the tail system failed its pivot screen; each call raises it.
@@ -333,6 +309,13 @@ class CollocationEngine:
         lower = np.hstack([-s_inv @ cond[2 * m :, : 2 * m] @ pinv, s_inv])
         self.weights = np.vstack([np.hstack([pinv, np.zeros_like(end_fix)])
                                   - end_fix @ lower, lower])
+
+    def kept_arrays(self) -> list[np.ndarray]:
+        """Every array the engine keeps, its grid's included."""
+        return [a for a in (self.grid.points, self.grid.sin2, self.r_vals, self.operator.data,
+                            self.tail_ops, self.lu.factors.data, self.lu.pivots, self.r_derivs,
+                            self.signs, self.rows, self.basis, self.border, self.weights)
+                if a is not None]
 
     def interior_band(self) -> BandedMatrix:
         """The projected system: rows and columns M .. M(nu+1)-1 of the
@@ -363,13 +346,13 @@ class CollocationEngine:
         """
         m = self.m
         absv = np.abs(self.basis[: 2 * m])
-        floor = np.finfo(np.float64).eps * np.maximum(*(
-            (absv @ np.abs(self.rows[e : 2 * m : 2]).T).max(axis=1) for e in (0, 1)))
+        absr = np.abs(self.rows[: 2 * m])
+        floor = np.finfo(np.float64).eps * np.maximum(
+            (absv @ absr[0::2].T).max(axis=1), (absv @ absr[1::2].T).max(axis=1))
         with np.errstate(all="ignore"):
             scaled = self.border / floor
-        finite = np.isfinite(scaled).all(axis=0)
-        if not finite.all():
-            col = int(np.argmin(finite))
+        if not np.isfinite(scaled).all():
+            col = int(np.argmin(np.isfinite(scaled).all(axis=0)))
             raise SingularMatrixError(
                 f"column {col} of the bordering system is not finite in units of its "
                 f"rounding floor {floor[col]:.3e}", col)
@@ -461,21 +444,6 @@ def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
     return 8 * math.log2(n) * u * math.sqrt(n) * norm
 
 
-def _arrays(value):
-    """Every array in ``value``, through lists, tuples, banded matrices and
-    dataclasses (LU factors, grids)."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _arrays(item)
-    elif isinstance(value, BandedMatrix):
-        yield value.data
-    elif is_dataclass(value):
-        for field in fields(value):
-            yield from _arrays(getattr(value, field.name))
-
-
 #: The last engine built, as (key, engine); None when empty.
 _engine_slot: tuple | None = None
 
@@ -502,7 +470,7 @@ def _engine_for(system: OscillatorSystem, nu: int, s: int) -> tuple[CollocationE
     engine = CollocationEngine(system, nu, s)
     # Every later call with this key shares the engine: no caller may write
     # to it.  ``system`` stays the caller's.
-    kept = list(_arrays([value for name, value in vars(engine).items() if name != "system"]))
+    kept = engine.kept_arrays()
     for array in kept:
         array.setflags(write=False)
     if _log.isEnabledFor(logging.DEBUG):
@@ -615,9 +583,10 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
     the problem is reported unsolvable.  Leaving the fast path is logged,
     with its reason, on the ``oscillquad`` logger: at INFO level for a
     dense fallback, at WARNING level when the flagged fast result is
-    returned.
+    returned.  ``wall_time`` covers the whole call: the fast attempt and
+    any dense attempt (an accepted fast result is timed by ``_solve_fast``).
     """
-    path = _fast_path_label(problem)
+    t0 = time.perf_counter()
     fast_result = None
     try:
         fast_result = _solve_fast(problem)
@@ -628,6 +597,7 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
         reason = f"{type(exc).__name__}: {exc}"
     from .reference import dense_levin_solve
 
+    path = _fast_path_label(problem)
     try:
         result = dense_levin_solve(problem)
     except (SingularMatrixError, ValueError) as exc:
@@ -636,9 +606,11 @@ def quadrature(problem: LevinProblem) -> QuadratureResult:
             # the flagged fast result is the best we have.
             reason = f"{reason}; dense path failed: {type(exc).__name__}: {exc}"
             _log.warning("%s result returned flagged: %s", path, reason)
-            return replace(fast_result, fallback_reason=reason)
+            return replace(fast_result, fallback_reason=reason,
+                           wall_time=time.perf_counter() - t0)
         raise UnsolvableProblemError(
             f"both the fast path ({reason}) and the dense path failed"
         ) from exc
     _log.info("%s fell back to dense_fallback: %s", path, reason)
-    return replace(result, path="dense_fallback", fallback_reason=reason)
+    return replace(result, path="dense_fallback", fallback_reason=reason,
+                   wall_time=time.perf_counter() - t0)

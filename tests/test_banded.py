@@ -261,6 +261,35 @@ def test_hockney_bandwidth_bound_structural(m, d_param):
     assert out.lower_bw + out.upper_bw + 1 <= 2 * m * (d_param + 4) - 1
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("bands", ["bessel", "asymmetric"])
+def test_reorder_of_unequal_block_bandwidths_is_the_exact_permutation(m, bands):
+    # "bessel": the folded blocks of the Bessel system, (lower, upper) = (3, 3)
+    # on the diagonal and (4, 4) off it; "asymmetric": lower != upper, and
+    # different in every block.  The band is a pure copy: the permuted dense
+    # matrix, bit for bit, with zeros in the slots for rows outside it.
+    rng = np.random.default_rng(40 + m)
+    nub = 11
+
+    def widths(a, b):
+        if bands == "bessel":
+            return (3, 3) if a == b else (4, 4)
+        return (a + 2 * b) % 4, (2 * a + b + 1) % 5
+
+    blocks = [[band_from_dense(random_banded(nub, *widths(a, b), rng, dtype=float),
+                               *widths(a, b)) for b in range(m)] for a in range(m)]
+    out = reorder_block_banded(blocks)
+    idx = np.arange(m * nub)
+    perm = (idx % m) * nub + idx // m
+    big = np.block([[band_to_dense(blk) for blk in row] for row in blocks])
+    assert np.array_equal(band_to_dense(out), big[np.ix_(perm, perm)])
+    assert np.array_equal(out.data, band_from_dense(band_to_dense(out), out.lower_bw,
+                                                    out.upper_bw).data)
+    max_lo = max(widths(a, b)[0] for a in range(m) for b in range(m))
+    max_up = max(widths(a, b)[1] for a in range(m) for b in range(m))
+    assert (out.lower_bw, out.upper_bw) == (m * max_lo + m - 1, m * max_up + m - 1)
+
+
 def test_reorder_rejects_inconsistent_blocks():
     blocks = [[identity(4), identity(4)],
               [identity(4), identity(5)]]

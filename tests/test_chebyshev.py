@@ -128,6 +128,35 @@ def test_polynomial_endpoint_derivatives_match_numpy():
         np.testing.assert_array_equal(table[:, l], expected)
 
 
+def _numpy_case_coeffs(degree, field):
+    rng = np.random.default_rng(10 * degree + (field == "complex"))
+    c = rng.normal(size=degree + 1) * 10.0 ** rng.uniform(-2, 2, size=degree + 1)
+    if field == "complex":
+        c = c + 1j * rng.normal(size=degree + 1)
+    return c
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("degree", ["zero", 0, 1, 2, 3, 5, 8])
+def test_polynomial_evaluation_equals_numpy_bit_for_bit(degree, field):
+    # Horner's rule in the operations of numpy's polyval, and every
+    # derivative order at +-1 from one pass over the stacked derivative
+    # table, with orders above the degree (l_max up to degree + 3) exactly 0
+    p = Polynomial([0.0] if degree == "zero" else _numpy_case_coeffs(degree, field))
+    poly = np.polynomial.polynomial
+    ends = np.array([1.0, -1.0])
+    grid = clenshaw_curtis_points(30).points
+    for x in (ends, grid, 1.0, -1.0):
+        np.testing.assert_array_equal(p(x), poly.polyval(x, p.coeffs))
+        assert np.asarray(p(x)).tobytes() == np.asarray(poly.polyval(x, p.coeffs)).tobytes()
+    for l_max in (0, p.degree, p.degree + 3):
+        table = p.endpoint_derivatives(l_max)
+        assert table.shape == (2, l_max + 1)
+        for l in range(l_max + 1):
+            np.testing.assert_array_equal(table[:, l],
+                                          poly.polyval(ends, poly.polyder(p.coeffs, l)))
+
+
 @pytest.mark.parametrize("n", [3, 12, 25])
 def test_rational_endpoint_derivatives_near_a_root_of_the_denominator(n):
     # (x+a)^2 T_n / (x+a)^2 is T_n, whose derivatives at +-1 are known in

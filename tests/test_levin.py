@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 import math
 import sys as sys_module
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from oscillquad.amplitudes import (
     manufactured_expected_value,
     rational_amplitude,
 )
-from oscillquad import levin
+from oscillquad import levin, reference
 from oscillquad.banded import (
     BandedLU,
     SingularMatrixError,
@@ -534,6 +535,25 @@ def test_every_traced_name_resolves():
         assert attr in owner.__dict__, (owner, attr)
 
 
+#: The build layers a cold fast solve calls, by span name.
+COLD_BUILD_SPANS = ("chebyshev.operator", "chebyshev.fold", "chebyshev.submatrix",
+                    "chebyshev.grid", "banded.reorder", "banded.factor", "banded.solve")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_cold_build_calls_every_traced_layer(m):
+    # each per-layer metric of the benchmark's --trace 1 run comes from
+    # these spans: a build that stopped calling one of them would read 0
+    spans = benchmark_spans()
+    levin._forget_engine()
+    with spans.Tracer() as tracer:
+        res = quadrature(LevinProblem(system=engine_system(m), amplitude=runge_shifted(0.0, m),
+                                      nu=32))
+    assert not res.engine_reused and res.fallback_reason is None
+    recorded = {span[0] for span in tracer.spans}
+    assert set(COLD_BUILD_SPANS) <= recorded, set(COLD_BUILD_SPANS) - recorded
+
+
 @pytest.mark.parametrize("m,s", [(1, 0), (1, 1), (2, 1), (2, 2)])
 def test_a_reused_engine_call_does_no_f_independent_work(m, s):
     # counted as the benchmark's --trace 1 run counts them: a call on a
@@ -944,6 +964,34 @@ def test_fallback_reason_keeps_dense_failure_when_fast_result_returned():
     assert res.path == "scalar_s0" and res.flagged
     assert res.fallback_reason.startswith("flagged residual ")
     assert "dense path failed: SingularMatrixError" in res.fallback_reason
+
+
+def test_wall_time_of_a_fallback_covers_the_whole_call(monkeypatch):
+    # a fast attempt that takes 50 ms and then fails counts in the time of
+    # the dense fallback that follows it
+    def slow_singular(problem):
+        time.sleep(0.05)
+        raise SingularMatrixError("banded matrix numerically singular at pivot 0", 0)
+
+    monkeypatch.setattr(levin, "_solve_fast", slow_singular)
+    sys = make_exponential([0.0, 1.0], 100.0)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=16))
+    assert res.path == "dense_fallback"
+    assert res.wall_time >= 0.05
+
+
+def test_wall_time_of_a_returned_flagged_result_covers_the_dense_attempt(monkeypatch):
+    # the flagged fast result of a tiny omega comes back after a dense
+    # attempt that takes 50 ms and then fails
+    def slow_failing_dense(problem):
+        time.sleep(0.05)
+        raise SingularMatrixError("dense system numerically singular at pivot 0", 0)
+
+    monkeypatch.setattr(reference, "dense_levin_solve", slow_failing_dense)
+    sys = make_exponential([0.0, 1.0], 1e-12)
+    res = quadrature(LevinProblem(system=sys, amplitude=runge_amplitude(1), nu=64))
+    assert res.path == "scalar_s0" and res.flagged
+    assert res.wall_time >= 0.05
 
 
 def test_unresolved_border_direction_is_left_out(monkeypatch):
