@@ -47,13 +47,15 @@ class BandedLU:
     """LU factors of a banded matrix in LAPACK band storage.
 
     ``factors`` has lower bandwidth kl and widened upper bandwidth kl + ku
-    (row-pivoting fill); ``pivots`` is the LAPACK ipiv record.
+    (row-pivoting fill); ``pivots`` is the LAPACK ipiv record; ``gbtrs`` is
+    the solve routine in the factors' field, looked up once.
     """
 
     factors: BandedMatrix
     pivots: np.ndarray
     kl: int
     ku: int
+    gbtrs: object
 
     @property
     def n(self) -> int:
@@ -93,7 +95,8 @@ def banded_lu_factor(a: BandedMatrix) -> BandedLU:
             worst,
         )
     factors = BandedMatrix(n, kl, kl + ku, data=lu, dtype=lu.dtype)
-    return BandedLU(factors=factors, pivots=ipiv, kl=kl, ku=ku)
+    gbtrs, = lapack.get_lapack_funcs(("gbtrs",), (lu,))
+    return BandedLU(factors=factors, pivots=ipiv, kl=kl, ku=ku, gbtrs=gbtrs)
 
 
 def banded_solve(lu: BandedLU, b, adjoint: bool = False) -> np.ndarray:
@@ -125,9 +128,8 @@ def banded_solve(lu: BandedLU, b, adjoint: bool = False) -> np.ndarray:
 def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
     """gbtrs in the factors' field, in place: ``b`` must already be in that
     field, in Fortran order, and is overwritten by the solution."""
-    gbtrs, = lapack.get_lapack_funcs(("gbtrs",), (lu.factors.data,))
-    x, info = gbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots, trans=trans,
-                    overwrite_b=1)
+    x, info = lu.gbtrs(lu.factors.data, lu.kl, lu.ku, b, lu.pivots, trans=trans,
+                       overwrite_b=1)
     if info != 0:
         raise ValueError(f"gbtrs failed with info={info}")
     return x

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 
 class UnsupportedRegimeError(ValueError):
@@ -65,14 +66,8 @@ class Polynomial:
         return self.degree == 0 and self.coeffs[0] == 0
 
     def __call__(self, x):
-        """Horner's rule, with the operations of numpy's ``polyval``."""
-        c = self.coeffs
-        if isinstance(x, (tuple, list)):
-            x = np.asarray(x)
-        v = c[-1] + x * 0
-        for a in c[-2::-1]:
-            v = a + v * x
-        return v
+        """Horner's rule (:func:`horner`)."""
+        return horner(self.coeffs, x)
 
     def deriv(self) -> "Polynomial":
         if self.degree == 0:
@@ -107,6 +102,17 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
+
+
+def horner(coeffs: np.ndarray, x):
+    """sum_j coeffs[j] x^j by Horner's rule, with the operations of numpy's
+    ``polyval``; float64 coefficients at real x evaluate in float64."""
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    v = coeffs[-1] + x * 0
+    for a in coeffs[-2::-1]:
+        v = a + v * x
+    return v
 
 
 def polynomial_endpoint_derivatives(polys, l_max: int) -> np.ndarray:
@@ -325,16 +331,14 @@ class BandedMatrix:
                 raise ValueError("band data has wrong shape")
             self.data = data
 
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        y = np.zeros(self.n, dtype=np.result_type(self.data.dtype, x.dtype))
-        for off in range(-self.upper_bw, self.lower_bw + 1):
-            j0 = max(0, -off)
-            j1 = min(self.n, self.n - off)
-            if j0 >= j1:
-                continue
-            y[j0 + off : j1 + off] += self.data[self.upper_bw + off, j0:j1] * x[j0:j1]
-        return y
+    def as_dia(self) -> scipy.sparse.dia_array:
+        """The same matrix as a ``scipy.sparse`` DIA array that shares ``data``:
+        row ``upper_bw - k`` of the band is diagonal k (entry (i, i + k)), and
+        DIA storage is indexed by column, as the band is.  Its product adds the
+        diagonals in turn, from k = upper_bw down to -lower_bw."""
+        return scipy.sparse.dia_array(
+            (self.data, np.arange(self.upper_bw, -self.lower_bw - 1, -1)),
+            shape=(self.n, self.n))
 
     def column(self, j: int) -> np.ndarray:
         """Dense copy of column j (length n)."""

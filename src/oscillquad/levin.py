@@ -14,11 +14,15 @@ band interleaved over components (Hockney order), its LU, every endpoint
 condition (l = 0..s) as one matrix of rows over the whole basis, the null
 vectors and tail columns as one correction basis (one multi-column banded
 solve, in coefficient space), and one small matrix W that inverts the
-conditions on that basis.  A call then costs M inverse DCT-I transforms,
-one one-column banded solve and two products: g = rows head, then
-head + basis^T W (targets - g).  The residual check bounds the interior
-rows in coefficient space, and spends one forward transform per component
-only when that bound does not clear the flag level.
+conditions on that basis; also r(+-1), |r(+-1)|, (1 - x^2) r on the grid
+and a scipy DIA view of the band, so that a call recomputes no constant.
+A call then costs one inverse DCT-I per component with a nonzero sample
+(an all-zero component gets zero coefficients without one), one
+one-column banded solve and two products: g = rows head, then
+head + basis^T W (targets - g).  The residual check applies the band as
+one scipy band product and the tail columns as one matrix product, bounds
+the interior rows in coefficient space, and spends one forward transform
+per component only when that bound does not clear the flag level.
 
 Building, folding and interleaving each operator block takes a fixed
 number of numpy calls (small index arrays, one strided slice), not a loop
@@ -202,6 +206,11 @@ class CollocationEngine:
         self.dtype = np.dtype(np.complex128 if np.concatenate([p.coeffs for p in polys]).imag.any()
                               else np.float64)
         self.r_vals = self._in_field(system.r(self.grid.points))
+        # r(+-1), |r(+-1)| once per (component, end), and (1 - x^2) r, which
+        # scales each call's right-hand side
+        self.r_end = self.r_vals[[0, -1]]
+        self.r_end_abs = np.tile(np.abs(self.r_end), m)
+        self.sin2_r = self.grid.sin2 * self.r_vals
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range:
         # (1-x^2) r d/dx on the diagonal blocks, plus (1-x^2) (r G)^T.
@@ -237,9 +246,15 @@ class CollocationEngine:
         # interior rows and columns n = 1..nu are the projected system.
         self.operator = reorder_block_banded(blocks)
         del blocks
+        # The residual's product, a view of the band (its construction costs
+        # more than a small call's transform)
+        self.operator_dia = self.operator.as_dia()
         self.tail_ops = fold_chebyshev_tail(tail_cols, nu)
         self.lu = banded_lu_factor(self.interior_band())
-        self.interior_floor = float((self.grid.sin2 * np.abs(self.r_vals))[1:-1].min())
+        # (1 - c_m^2) |r(c_m)| on the interior points, which the residual
+        # divides by
+        self.interior_scale = (self.grid.sin2 * np.abs(self.r_vals))[1:-1]
+        self.interior_floor = float(self.interior_scale.min())
 
         # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, by Leibniz
         # on exact derivatives of r, r G and T_n: row (l, i, e) holds condition
@@ -312,9 +327,11 @@ class CollocationEngine:
 
     def kept_arrays(self) -> list[np.ndarray]:
         """Every array the engine keeps, its grid's included."""
-        return [a for a in (self.grid.points, self.grid.sin2, self.r_vals, self.operator.data,
-                            self.tail_ops, self.lu.factors.data, self.lu.pivots, self.r_derivs,
-                            self.signs, self.rows, self.basis, self.border, self.weights)
+        return [a for a in (self.grid.points, self.grid.sin2, self.r_vals, self.r_end,
+                            self.r_end_abs, self.sin2_r, self.operator.data,
+                            self.operator_dia.offsets, self.tail_ops, self.lu.factors.data,
+                            self.lu.pivots, self.interior_scale, self.r_derivs, self.signs,
+                            self.rows, self.basis, self.border, self.weights)
                 if a is not None]
 
     def interior_band(self) -> BandedMatrix:
@@ -375,13 +392,15 @@ class CollocationEngine:
         Returns the coefficients (M, nu+2s+2), real when the engine and the
         right-hand side are both real, and z (M, nu+2), the DCT-I
         coefficients of each component's scaled right-hand side, which
-        ``residual`` checks against.  Raises the engine's
+        ``residual`` checks against; a component with no nonzero sample is
+        not transformed, and its z row is zero.  Raises the engine's
         ``SingularMatrixError`` when its tail system failed the pivot screen.
         """
         if self.tail_singular is not None:
             raise SingularMatrixError(str(self.tail_singular), self.tail_singular.pivot_index)
         m, nu = self.m, self.nu
-        z = np.array([apply_inverse_collocation(row) for row in rhs_scaled])
+        z = np.array([apply_inverse_collocation(row) if row.any() else np.zeros(nu + 2)
+                      for row in rhs_scaled])
         x = banded_solve(self.lu, z[:, 1 : nu + 1].T.reshape(-1))
         coeffs = np.zeros((m, nu + 2 * self.s + 2), dtype=np.result_type(x, targets))
         coeffs[:, 1 : nu + 1] = x.reshape(nu, m).T
@@ -410,22 +429,19 @@ class CollocationEngine:
         exact maximum is returned.
         """
         m, nu = self.m, self.nu
-        grid = self.grid
-        r_vals = self.r_vals
-        acc = self.operator.matvec(coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
+        acc = (self.operator_dia @ coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
         if self.s:
-            acc = acc + np.tensordot(coeffs[:, nu + 2 :].reshape(-1), self.tail_ops, axes=1)
-        r_end = r_vals[[0, -1]]
+            acc = acc + (coeffs[:, nu + 2 :].reshape(-1)
+                         @ self.tail_ops.reshape(len(self.tail_ops), -1)).reshape(m, nu + 2)
         ends = np.abs(self.rows[: 2 * m] @ coeffs.reshape(-1)
-                      - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
+                      - (self.r_end * f_values[:, [0, -1]]).reshape(-1)) / self.r_end_abs
         bound = (np.abs(acc - z).sum(axis=1) + _dct_rounding_bound(z)).max() / self.interior_floor
         # np.maximum keeps a NaN, which is not <= level.
         certified = float(np.maximum(bound, ends.max()))
         if certified <= level:
             return certified
-        y = np.array([apply_collocation_matrix(a, grid) for a in acc])
-        interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[:, 1:-1]) / (
-            grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
+        y = np.array([apply_collocation_matrix(a, self.grid) for a in acc])
+        interior = np.abs(y[:, 1:-1] - (self.sin2_r * f_values)[:, 1:-1]) / self.interior_scale
         return float(max(interior.max(), ends.max()))
 
 
@@ -535,10 +551,9 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
     f_values = problem.amplitude.values(grid.points)
     _check_finite_samples(f_values, grid.points)
     f_values = real_if_zero_imag(f_values)
-    r_vals = eng.r_vals
     # sin2 is zero at the endpoints, so the scaled right-hand side is too
-    rhs_scaled = grid.sin2 * r_vals * f_values
-    targets = (r_vals[[0, -1]] * f_values[:, [0, -1]]).reshape(-1)
+    rhs_scaled = eng.sin2_r * f_values
+    targets = (eng.r_end * f_values[:, [0, -1]]).reshape(-1)
     if eng.s >= 1:
         targets = np.concatenate(
             [targets, _cleared_f_derivatives(eng, problem.amplitude, f_values)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .chebyshev import Polynomial, RationalFunction
+from .chebyshev import Polynomial, RationalFunction, horner
 
 
 class StationaryPointError(ValueError):
@@ -127,19 +127,27 @@ def _check_oscillator_data(omega, **arrays) -> None:
             raise ValueError(f"{name} must be finite, got {values}")
 
 
+#: The grids of the root checks: 1000 points for a phase derivative, 1001 for r.
+_ROOT_GRIDS = {n: np.linspace(-1.0, 1.0, n) for n in (1000, 1001)}
+
+
 def _has_interval_root(p: Polynomial, n_grid: int) -> bool:
-    """Grid check for a root of p in [-1, 1]: sign change (real case) or near-zero."""
-    x = np.linspace(-1.0, 1.0, n_grid)
-    v = p(x)
+    """Grid check for a root of p in [-1, 1]: sign change (real case) or near-zero.
+
+    Real coefficients are evaluated in float64: the values and their
+    magnitudes are those of the complex evaluation, whose imaginary parts
+    are then zero."""
+    c = p.coeffs
+    v = horner(c if c.imag.any() else c.real, _ROOT_GRIDS[n_grid])
     mags = np.abs(v)
     scale = max(float(mags.max()), 1e-300)
     if float(mags.min()) < 1e-9 * scale:
         return True
-    if np.max(np.abs(v.imag)) <= 1e-14 * scale:
-        re = v.real
-        if np.any(re[:-1] * re[1:] < 0):
-            return True
-    return False
+    if np.iscomplexobj(v):
+        if not np.max(np.abs(v.imag)) <= 1e-14 * scale:
+            return False
+        v = v.real
+    return bool(np.any(v[:-1] * v[1:] < 0))
 
 
 def _check_no_roots(p: Polynomial, n_grid: int, what: str, error):

@@ -692,7 +692,41 @@ def test_banded_matvec_matches_dense():
     rng = np.random.default_rng(4)
     a = band_from_dense(np.triu(np.tril(rng.normal(size=(9, 9)), 2), -1), 2, 1)
     v = rng.normal(size=9)
-    assert np.allclose(a.matvec(v), band_to_dense(a) @ v)
+    assert np.allclose(a.as_dia() @ v, band_to_dense(a) @ v)
+
+
+def per_diagonal_product(b, x):
+    """The band's product one diagonal at a time, from the top one down."""
+    y = np.zeros(b.n, dtype=np.result_type(b.data, x))
+    for off in range(-b.upper_bw, b.lower_bw + 1):
+        j0, j1 = max(0, -off), min(b.n, b.n - off)
+        if j0 < j1:
+            y[j0 + off : j1 + off] += b.data[b.upper_bw + off, j0:j1] * x[j0:j1]
+    return y
+
+
+@pytest.mark.parametrize("n,kl,ku", [(9, 2, 1), (9, 1, 3), (40, 9, 9), (60, 4, 7), (3, 4, 2),
+                                     (2, 3, 3), (1, 0, 0)])
+@pytest.mark.parametrize("band,vector", [("real", "real"), ("real", "complex"),
+                                         ("complex", "complex")])
+def test_dia_product_adds_the_diagonals_in_turn(n, kl, ku, band, vector):
+    # slots outside the matrix hold noise here: neither product reads them
+    rng = np.random.default_rng(n + 100 * kl + 1000 * ku)
+    data = rng.normal(size=(kl + ku + 1, n))
+    x = rng.normal(size=n)
+    if band == "complex":
+        data = data + 1j * rng.normal(size=data.shape)
+    if vector == "complex":
+        x = x + 1j * rng.normal(size=n)
+    b = BandedMatrix(n, kl, ku, data=data, dtype=data.dtype)
+    got = b.as_dia() @ x
+    want = per_diagonal_product(b, x)
+    assert got.dtype == want.dtype
+    if band == "real":
+        assert got.tobytes() == want.tobytes()
+    else:
+        # complex products may round differently: 1e-13 of |A| |x| per entry
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(band_to_dense(b)) @ np.abs(x)))
 
 
 @st.composite

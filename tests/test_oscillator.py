@@ -15,6 +15,7 @@ from oscillquad.oscillator import (
     OscillatorSystem,
     PoleInIntervalError,
     StationaryPointError,
+    _has_interval_root,
     make_bessel,
     make_exponential,
     parse_oscillator_config,
@@ -285,6 +286,45 @@ def test_validate_rejects_root_in_interval():
         w_plus=np.array([1.0 + 0j]), w_minus=np.array([1.0 + 0j]))
     diag = validate_system(sys)
     assert not diag.valid
+
+
+def complex_root_verdict(coeffs, n_grid):
+    """The grid root check on values from complex arithmetic: numpy's
+    polyval on complex128 coefficients."""
+    v = np.polynomial.polynomial.polyval(np.linspace(-1.0, 1.0, n_grid),
+                                         np.asarray(coeffs, dtype=np.complex128))
+    mags = np.abs(v)
+    scale = max(float(mags.max()), 1e-300)
+    if float(mags.min()) < 1e-9 * scale:
+        return True
+    if np.max(np.abs(v.imag)) <= 1e-14 * scale:
+        return bool(np.any(v.real[:-1] * v.real[1:] < 0))
+    return False
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_interval_root_verdict_matches_complex_evaluation(field):
+    # real coefficients are evaluated in float64; the verdict must be the
+    # one complex evaluation gives, also for roots within 1e-9 of +-1
+    rng = np.random.default_rng(5 if field == "real" else 6)
+    verdicts = set()
+    for _ in range(1000):
+        degree = int(rng.integers(0, 5))
+        roots = rng.uniform(-1.6, 1.6, degree)
+        near = rng.random(degree) < 0.3
+        roots[near] = rng.choice([-1.0, 1.0], near.sum()) + rng.uniform(-1e-9, 1e-9, near.sum())
+        scale = rng.uniform(0.1, 10.0)
+        if field == "complex":
+            roots = roots + 1j * rng.choice([0.0, 1e-10, 1e-3, 0.5], degree)
+            scale = scale * np.exp(1j * rng.choice([0.0, rng.uniform(0, 2 * np.pi)]))
+        coeffs = scale * np.polynomial.polynomial.polyfromroots(roots)
+        if rng.random() < 0.2:  # no constructed roots
+            coeffs = rng.normal(size=degree + 1) * (1 if field == "real" else 1 + 1j)
+        for n_grid in (1000, 1001):
+            verdict = _has_interval_root(Polynomial(coeffs), n_grid)
+            assert verdict == complex_root_verdict(coeffs, n_grid), (coeffs, n_grid)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
