@@ -74,10 +74,6 @@ class Polynomial:
             return Polynomial([0.0])
         return Polynomial(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
 
-    def endpoint_derivatives(self, l_max: int) -> np.ndarray:
-        """d^l/dx^l at +1 (row 0) and -1 (row 1), l = 0..l_max; 0 above the degree."""
-        return polynomial_endpoint_derivatives([self], l_max)[0]
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return Polynomial(np.convolve(self.coeffs, other.coeffs))

@@ -22,6 +22,7 @@ scheduling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import operator
@@ -29,6 +30,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,14 +65,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(out)
+    out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
 
 
 def _load_config(path) -> dict:
@@ -124,12 +123,7 @@ def _nu_grid(config: dict) -> list[int]:
     return sorted(grid)
 
 
-def _solve(problem: LevinProblem, method: str):
-    if method == "fast":
-        return quadrature(problem)
-    if method == "dense":
-        return dense_levin_solve(problem)
-    raise ConfigError(f"unknown method {method!r}")
+SOLVERS = {"fast": quadrature, "dense": dense_levin_solve}
 
 
 def _map_maybe_parallel(fn, items, workers: int):
@@ -144,24 +138,16 @@ def _map_maybe_parallel(fn, items, workers: int):
 # ---------------------------------------------------------------------------
 
 def cmd_quad(config: dict, args) -> list[list[str]]:
-    method = args.method
-    if method == "oracle":
-        problem = _build_problem(config)
+    problem = _build_problem(config)
+    if args.method == "oracle":
         t0 = time.perf_counter()
         value = oracle_value(problem.system, problem.amplitude)
-        wall = time.perf_counter() - t0
-        row = [method, _fmt(problem.system.omega), str(problem.nu), str(problem.s),
-               _fmt(value.real), _fmt(value.imag), _fmt(float("nan")), _fmt(wall)]
-        return [row]
-    problem = _build_problem(config)
-    result = _solve(problem, method)
-    return [[method, _fmt(problem.system.omega), str(problem.nu), str(problem.s),
-             _fmt(result.value.real), _fmt(result.value.imag),
-             _fmt(result.residual), _fmt(result.wall_time)]]
-
-
-QUAD_HEADER = ["method", "omega", "nu", "s", "value_re", "value_im",
-               "residual", "wall_seconds"]
+        residual, wall = float("nan"), time.perf_counter() - t0
+    else:
+        result = SOLVERS[args.method](problem)
+        value, residual, wall = result.value, result.residual, result.wall_time
+    return [[args.method, _fmt(problem.system.omega), str(problem.nu), str(problem.s),
+             _fmt(value.real), _fmt(value.imag), _fmt(residual), _fmt(wall)]]
 
 
 def cmd_sweep_omega(config: dict, args) -> list[list[str]]:
@@ -169,14 +155,11 @@ def cmd_sweep_omega(config: dict, args) -> list[list[str]]:
 
     def run(omega: float):
         problem = _build_problem(config, omega=omega)
-        result = _solve(problem, args.method)
+        result = SOLVERS[args.method](problem)
         exact = oracle_value(problem.system, problem.amplitude)
         return [_fmt(omega), str(problem.nu), _fmt(abs(result.value - exact))]
 
     return _map_maybe_parallel(run, list(grid), args.parallel)
-
-
-SWEEP_OMEGA_HEADER = ["omega", "nu", "abs_error"]
 
 
 def cmd_sweep_nu(config: dict, args) -> list[list[str]]:
@@ -187,14 +170,11 @@ def cmd_sweep_nu(config: dict, args) -> list[list[str]]:
     def run(nu: int):
         problem = _build_problem(config, nu=nu)
         fast = quadrature(problem)
-        dense = dense_levin_solve(problem)
-        return [str(nu), _fmt(abs(fast.value - exact)),
-                _fmt(fast.wall_time), _fmt(dense.wall_time)]
+        dense = (dense_levin_solve(problem).wall_time if dense_within_guard(problem)
+                 else float("nan"))
+        return [str(nu), _fmt(abs(fast.value - exact)), _fmt(fast.wall_time), _fmt(dense)]
 
     return _map_maybe_parallel(run, grid, args.parallel)
-
-
-SWEEP_NU_HEADER = ["nu", "abs_error", "wall_seconds_fast", "wall_seconds_dense"]
 
 
 def _cold_wall_time(problem: LevinProblem) -> float:
@@ -217,9 +197,6 @@ def cmd_bench(config: dict, args) -> list[list[str]]:
     return rows
 
 
-BENCH_HEADER = ["nu", "method", "wall_seconds"]
-
-
 def cmd_condition(config: dict, args) -> list[list[str]]:
     grid = _nu_grid(config)
     full_cap = int(config.get("cond_max_nu", DEFAULT_COND_MAX_NU))
@@ -236,9 +213,6 @@ def cmd_condition(config: dict, args) -> list[list[str]]:
             cond_full = float("nan")
         rows.append([str(nu), _fmt(cond_full), _fmt(cond_banded), _fmt(cond_border)])
     return rows
-
-
-CONDITION_HEADER = ["nu", "cond_full", "cond_banded", "cond_border"]
 
 
 def cmd_plotdata(config: dict, args) -> list[list[str]]:
@@ -264,66 +238,28 @@ def cmd_plotdata(config: dict, args) -> list[list[str]]:
         if len(rows) < 2:
             raise ConfigError(f"{path} has no data rows")
         tables.append(rows)
-    if figure == "timing":
-        header, body = tables[0][0], tables[0][1:]
-        if header != BENCH_HEADER:
-            raise ConfigError("timing figure expects a bench CSV")
-        by_nu: dict[str, dict[str, str]] = {}
-        methods: list[str] = []
-        for nu, method, wall in body:
-            by_nu.setdefault(nu, {})[method] = wall
-            if method not in methods:
-                methods.append(method)
-        out_header = ["nu"] + [f"wall_seconds_{m}" for m in methods]
-        out = [[nu] + [by_nu[nu].get(m, "nan") for m in methods]
-               for nu in sorted(by_nu, key=float)]
-        return [out_header] + out
     if figure in ("error_vs_nu", "conditioning"):
         return tables[0]
+    if figure == "timing":
+        header, *body = tables[0]
+        if header != COMMANDS["bench"].header:
+            raise ConfigError("timing figure expects a bench CSV")
+        walls = {(nu, method): wall for nu, method, wall in body}
+        methods = list(dict.fromkeys(method for _, method in walls))
+        nus = sorted(dict.fromkeys(nu for nu, _ in walls), key=float)
+        return [["nu"] + [f"wall_seconds_{m}" for m in methods]] + [
+            [nu] + [walls.get((nu, m), "nan") for m in methods] for nu in nus]
     if figure == "error_vs_omega":
-        key = tables[0][0][0]
-        merged: dict[str, list[str]] = {}
-        for rows in tables:
-            for row in rows[1:]:
-                merged.setdefault(row[0], [])
-        out_header = [key]
-        for label, rows in zip(labels, tables):
-            col = {row[0]: row[-1] for row in rows[1:]}
-            out_header.append(f"abs_error_{label}")
-            for k in merged:
-                merged[k].append(col.get(k, "nan"))
-        out = [[k] + v for k, v in sorted(merged.items(), key=lambda kv: float(kv[0]))]
-        return [out_header] + out
+        columns = [{row[0]: row[-1] for row in rows[1:]} for rows in tables]
+        keys = sorted(dict.fromkeys(k for col in columns for k in col), key=float)
+        return [[tables[0][0][0]] + [f"abs_error_{label}" for label in labels]] + [
+            [k] + [col.get(k, "nan") for col in columns] for k in keys]
     raise ConfigError(f"unknown figure {figure!r}")
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oscillquad",
-        description="Fast Levin-Clenshaw-Curtis quadrature experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "quad": {"--method": dict(default="fast", choices=["fast", "dense", "oracle"])},
-        "sweep-omega": {"--method": dict(default="fast", choices=["fast", "dense"]),
-                        "--parallel": dict(type=_at_least_one, default=1)},
-        "sweep-nu": {"--parallel": dict(type=_at_least_one, default=1)},
-        "bench": {"--repeats": dict(type=_at_least_one, default=5)},
-        "condition": {},
-        "plotdata": {},
-    }
-    for name, options in commands.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-    return parser
-
 
 def _at_least_one(text: str) -> int:
     value = int(text)
@@ -332,29 +268,59 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+class Command(NamedTuple):
+    run: Callable[[dict, argparse.Namespace], list[list[str]]]
+    header: list[str] | None  # None: the first row ``run`` returns is the header
+    options: dict[str, dict]
+
+
+_PARALLEL = {"--parallel": dict(type=_at_least_one, default=1)}
+
+COMMANDS = {
+    "quad": Command(cmd_quad, ["method", "omega", "nu", "s", "value_re", "value_im",
+                               "residual", "wall_seconds"],
+                    {"--method": dict(default="fast", choices=[*SOLVERS, "oracle"])}),
+    "sweep-omega": Command(cmd_sweep_omega, ["omega", "nu", "abs_error"],
+                           {"--method": dict(default="fast", choices=list(SOLVERS)),
+                            **_PARALLEL}),
+    "sweep-nu": Command(cmd_sweep_nu, ["nu", "abs_error", "wall_seconds_fast",
+                                       "wall_seconds_dense"], _PARALLEL),
+    "bench": Command(cmd_bench, ["nu", "method", "wall_seconds"],
+                     {"--repeats": dict(type=_at_least_one, default=5)}),
+    "condition": Command(cmd_condition, ["nu", "cond_full", "cond_banded", "cond_border"], {}),
+    "plotdata": Command(cmd_plotdata, None, {}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="oscillquad",
+        description="Fast Levin-Clenshaw-Curtis quadrature experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        for flag, kwargs in command.options.items():
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        if args.command == "quad":
-            rows, header = cmd_quad(config, args), QUAD_HEADER
-        elif args.command == "sweep-omega":
-            rows, header = cmd_sweep_omega(config, args), SWEEP_OMEGA_HEADER
-        elif args.command == "sweep-nu":
-            rows, header = cmd_sweep_nu(config, args), SWEEP_NU_HEADER
-        elif args.command == "bench":
-            rows, header = cmd_bench(config, args), BENCH_HEADER
-        elif args.command == "condition":
-            rows, header = cmd_condition(config, args), CONDITION_HEADER
-        else:
-            table = cmd_plotdata(config, args)
-            rows, header = table[1:], table[0]
+        rows = command.run(_load_config(args.config), args)
     except (SingularMatrixError, UnsolvableProblemError) as exc:
         print(f"oscillquad: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"oscillquad: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    header = command.header
+    if header is None:
+        header, *rows = rows
     _write_csv(args.out, header, rows)
     return 0
 

@@ -86,8 +86,6 @@ def dense_collocation_matrix(problem: LevinProblem):
     a = np.zeros((n_total, n_total), dtype=np.complex128)
     rhs = np.zeros(n_total, dtype=np.complex128)
     rows_per_comp = nu + 2 + 2 * s
-    if rows_per_comp * m != n_total:
-        raise AssertionError("row bookkeeping is off")
 
     # Endpoint derivative tables at +1 (index 0) and -1 (index 1): T_n for
     # orders 0..s+1, each (G^T)_{ij} for orders 0..s.

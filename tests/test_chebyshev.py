@@ -26,6 +26,7 @@ from oscillquad.chebyshev import (
     endpoint_derivative_rows,
     fold_chebyshev_tail,
     fold_operator,
+    polynomial_endpoint_derivatives,
     real_if_zero_imag,
 )
 
@@ -121,7 +122,7 @@ def test_rational_function_derivatives_exact():
 def test_polynomial_endpoint_derivatives_match_numpy():
     p = Polynomial([0.3, -1.0 + 2j, 0.5, 4.0, -0.25j])
     poly = np.polynomial.polynomial
-    table = p.endpoint_derivatives(6)
+    table = polynomial_endpoint_derivatives([p], 6)[0]
     assert table.shape == (2, 7)
     for l in range(7):
         expected = poly.polyval(np.array([1.0, -1.0]), poly.polyder(p.coeffs, l))
@@ -150,7 +151,7 @@ def test_polynomial_evaluation_equals_numpy_bit_for_bit(degree, field):
         np.testing.assert_array_equal(p(x), poly.polyval(x, p.coeffs))
         assert np.asarray(p(x)).tobytes() == np.asarray(poly.polyval(x, p.coeffs)).tobytes()
     for l_max in (0, p.degree, p.degree + 3):
-        table = p.endpoint_derivatives(l_max)
+        table = polynomial_endpoint_derivatives([p], l_max)[0]
         assert table.shape == (2, l_max + 1)
         for l in range(l_max + 1):
             np.testing.assert_array_equal(table[:, l],
@@ -180,7 +181,7 @@ def test_rational_endpoint_derivatives_of_the_benchmark_family(j):
         table = RationalFunction(num, Polynomial([c, 0.0, 1.0])).endpoint_derivatives(l_max)
         poles = np.array([1j, -1j]) * math.sqrt(c)
         for e, x in enumerate((1.0, -1.0)):
-            exact = q.endpoint_derivatives(l_max)[e] + np.array([
+            exact = polynomial_endpoint_derivatives([q], l_max)[0, e] + np.array([
                 sum(p ** (j - 1) / 2 * (-1) ** l * math.factorial(l) / (x - p) ** (l + 1)
                     for p in poles)
                 for l in range(l_max + 1)])

@@ -301,6 +301,45 @@ def test_condition_writes_nan_over_the_memory_guard(tmp_path):
     assert np.isfinite(float(rows[0]["cond_banded"]))
 
 
+def test_sweep_nu_writes_nan_for_the_dense_time_over_the_memory_guard(tmp_path, monkeypatch):
+    # the Bessel dense system at nu 3000 (order 6004) is over the guard;
+    # sweep-nu once called the dense solver anyway and exited 2 with no rows
+    monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "20000")
+    cfg = bessel_config(tmp_path, nu_grid=[64, 3000])
+    out = tmp_path / "nu.csv"
+    code, rows = run_cli(["sweep-nu", "--config", cfg, "--out", out], out_path=out)
+    assert code == 0
+    assert [int(r["nu"]) for r in rows] == [64, 3000]
+    assert 0.0 < float(rows[0]["wall_seconds_dense"]) < np.inf
+    assert np.isnan(float(rows[1]["wall_seconds_dense"]))
+    assert all(float(r["wall_seconds_fast"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("command,options,header", [
+    ("quad", [], ["method", "omega", "nu", "s", "value_re", "value_im", "residual",
+                  "wall_seconds"]),
+    ("sweep-omega", [], ["omega", "nu", "abs_error"]),
+    ("sweep-nu", [], ["nu", "abs_error", "wall_seconds_fast", "wall_seconds_dense"]),
+    ("bench", ["--repeats", "1"], ["nu", "method", "wall_seconds"]),
+    ("condition", [], ["nu", "cond_full", "cond_banded", "cond_border"]),
+    ("plotdata", [], ["nu", "wall_seconds_fast", "wall_seconds_dense"]),
+])
+def test_every_command_writes_its_header(tmp_path, monkeypatch, command, options, header):
+    monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "20000")
+    if command == "plotdata":
+        bench = tmp_path / "bench.csv"
+        bench.write_text("nu,method,wall_seconds\n16,fast,0.1\n16,dense,0.2\n")
+        cfg = tmp_path / "fig.json"
+        cfg.write_text(json.dumps({"figure": "timing", "inputs": [str(bench)]}))
+    else:
+        cfg = write_config(tmp_path, nu=16, nu_grid=[16],
+                           omega_grid={"log10_from": 1, "log10_to": 1, "points": 1})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + options) == 0
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == header
+
+
 def test_plotdata_merges_omega_sweeps(tmp_path, monkeypatch):
     monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "50000")
     inputs = []

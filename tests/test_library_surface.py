@@ -1,4 +1,5 @@
-"""The library keeps no routine that only its tests call, and no import it does not use."""
+"""The library keeps no routine that only its tests call, no two routines of
+one bare name, and no import it does not use."""
 
 from __future__ import annotations
 
@@ -51,6 +52,17 @@ def test_every_library_routine_has_a_caller_outside_the_tests():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert not unused, f"only tests call: {unused}"
+
+
+def test_no_two_library_definitions_share_a_bare_name():
+    # the caller check above matches bare names, so a routine that shares its
+    # name with a used one (a method of another class) would pass unseen
+    seen: dict[str, list[str]] = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        for name in definitions(ast.parse(module.read_text())):
+            seen.setdefault(name.rsplit(".", 1)[-1], []).append(f"{module.stem}.{name}")
+    shared = [owners for owners in seen.values() if len(owners) > 1]
+    assert not shared, f"definitions share a bare name: {shared}"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
