@@ -68,13 +68,20 @@ def banded_lu_factor(a: BandedMatrix) -> BandedLU:
     A real matrix gets float64 factors (dgbtrf), any other complex128
     factors (zgbtrf).  Raises :class:`SingularMatrixError` when a pivot
     falls below ``PIVOT_RTOL`` times the matrix max-norm (or is exactly
-    zero).
+    zero).  A band already in gbtrf's layout, the last rows of a
+    Fortran-ordered array with kl rows above them (as
+    ``principal_submatrix(..., spare_rows=kl)`` makes it), is factored in
+    place, and its data is overwritten; any other band is copied first.
     """
     kl, ku, n = a.lower_bw, a.upper_bw, a.n
-    ab = np.empty((2 * kl + ku + 1, n), dtype=np.result_type(a.data, np.float64),
-                  order="F")
-    ab[:kl] = 0  # the rows gbtrf fills in; it reads only the band below them
-    ab[kl:] = a.data
+    dtype = np.result_type(a.data, np.float64)
+    ab = a.data.base
+    if not (ab is not None and ab.dtype == dtype and ab.flags.f_contiguous
+            and ab.shape == (2 * kl + ku + 1, n) and a.data.strides == ab.strides
+            and a.data.ctypes.data == ab.ctypes.data + kl * ab.itemsize):
+        ab = np.empty((2 * kl + ku + 1, n), dtype=dtype, order="F")
+        ab[:kl] = 0  # the rows gbtrf fills in; it reads only the band below them
+        ab[kl:] = a.data
     # max |entry|, without a band-sized temporary when the band is real
     scale = (np.max(np.abs(a.data)) if np.iscomplexobj(a.data)
              else np.maximum(a.data.max(), -a.data.min()))
@@ -135,22 +142,25 @@ def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def reorder_block_banded(blocks) -> BandedMatrix:
+def reorder_block_banded(blocks, order=None) -> BandedMatrix:
     """Interleave an M x M grid of banded blocks into one banded matrix.
 
     ``blocks`` is an M x M nested sequence of equally sized square
-    :class:`BandedMatrix` blocks.  In Hockney order, row M*l1 + a, column
-    M*l2 + b of the result holds entry (l1, l2) of block (a, b), so the
-    block bandwidths interleave into a single band of half-width at most
-    M * max_block_halfwidth + M - 1.  The result has the blocks' common
-    dtype.  For M = 1 the order is the identity and the one block is
-    returned as it is.
+    :class:`BandedMatrix` blocks.  Row M*l1 + a, column M*l2 + b of the
+    result holds entry (l1, l2) of block (order[a], b): unknowns interleave
+    in their own order, and each row group holds the M equations in
+    ``order`` (default the identity, Hockney order).  The band has
+    half-width at most M * max_block_halfwidth + M - 1 on each side, and the
+    blocks' common dtype.  For M = 1 the one block is returned as it is.
     """
     m = len(blocks)
     if m < 1 or any(len(row) != m for row in blocks):
         raise ValueError("blocks must form an M x M grid")
     if m == 1:
         return blocks[0][0]
+    order = range(m) if order is None else order
+    if sorted(order) != list(range(m)):
+        raise ValueError("order must be a permutation of the block rows")
     nub = blocks[0][0].n
     if any(blk.n != nub for row in blocks for blk in row):
         raise ValueError("inconsistent block sizes")
@@ -161,12 +171,44 @@ def reorder_block_banded(blocks) -> BandedMatrix:
     dtype = np.result_type(*(blk.data for row in blocks for blk in row))
     out = BandedMatrix(m * nub, lo, up, dtype=dtype)
     for a, b in np.ndindex(m, m):
-        # Diagonal off of block (a, b) is diagonal M off + a - b of the result,
-        # on columns b, b + M, ...; its zero slots land on zero slots.
-        blk = blocks[a][b]
+        # Diagonal off of block (order[a], b) is diagonal M off + a - b of the
+        # result, on columns b, b + M, ...; its zero slots land on zero slots.
+        blk = blocks[order[a]][b]
         top = up + a - b - m * blk.upper_bw
         out.data[top : top + m * (blk.upper_bw + blk.lower_bw) + 1 : m, b::m] = blk.data
     return out
+
+
+def interleaved_halfwidths(widths, order) -> tuple[int, int]:
+    """(kl, ku) of M x M blocks of half-width ``widths[i][j]`` on each side,
+    interleaved as :func:`reorder_block_banded` does with ``order``: block
+    (order[a], j) spans diagonals -M w + j - a to M w + j - a."""
+    m = len(order)
+    kl = max(m * widths[i][j] + a - j for a, i in enumerate(order) for j in range(m))
+    ku = max(m * widths[i][j] + j - a for a, i in enumerate(order) for j in range(m))
+    return kl, ku
+
+
+def narrowest_equation_order(widths) -> tuple[int, ...]:
+    """An order of the M equations in each interleaved row group that keeps
+    the band narrow, from the blocks' half-widths alone (O(M^2) work).
+
+    Each equation goes beside the unknown of its widest block (the first
+    such unknown, ties kept in equation order).  That order is taken when
+    its band, kl + ku from :func:`interleaved_halfwidths`, is narrower than
+    the identity's; otherwise, and for M = 1, the identity is kept.  For the
+    Bessel system the two equations swap: kl = ku = 8, not 9.
+    """
+    m = len(widths)
+    identity = tuple(range(m))
+    if m == 1:
+        return identity
+    widest = [max(range(m), key=row.__getitem__) for row in widths]
+    candidate = tuple(sorted(identity, key=widest.__getitem__))
+    if sum(interleaved_halfwidths(widths, candidate)) < sum(
+            interleaved_halfwidths(widths, identity)):
+        return candidate
+    return identity
 
 
 def dense_solve(a, b) -> np.ndarray:

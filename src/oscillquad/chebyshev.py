@@ -18,6 +18,7 @@ to be treated as immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,12 +197,14 @@ class ClenshawCurtisGrid:
         return self.nu + 2
 
 
+@functools.lru_cache(maxsize=8)
 def clenshaw_curtis_points(nu: int) -> ClenshawCurtisGrid:
     """Build the Clenshaw-Curtis grid with ``nu`` interior points.
 
     ``nu`` must be even and >= 2.  The grid is assembled from one half by
     mirroring with negation, so the symmetry c_m = -c_{nu+1-m} holds
-    exactly in floating point.
+    exactly in floating point.  Its arrays are read-only, and the grids of
+    the last eight ``nu`` are kept and returned again.
     """
     if nu < 2 or nu % 2 != 0:
         raise ValueError(f"nu must be an even integer >= 2, got {nu}")
@@ -344,18 +347,34 @@ class BandedMatrix:
         col[i0:i1] = self.data[self.upper_bw + i0 - j : self.upper_bw + i1 - j, j]
         return col
 
-    def principal_submatrix(self, lo: int, hi: int) -> "BandedMatrix":
-        """Rows and columns lo..hi-1 as a new banded matrix."""
+    def principal_submatrix(self, lo: int, hi: int, lower_bw: int | None = None,
+                            upper_bw: int | None = None,
+                            spare_rows: int = 0) -> "BandedMatrix":
+        """Rows and columns lo..hi-1 as a new banded matrix, copied once.
+
+        ``lower_bw`` and ``upper_bw`` (default: this matrix's) may narrow
+        the band; the caller vouches that the diagonals left out are zero
+        on these rows and columns.  With ``spare_rows``, the band is the
+        last rows of a Fortran-ordered array that has that many zero rows
+        above it, the layout gbtrf factors in place (for kl spare rows).
+        """
+        kl = self.lower_bw if lower_bw is None else lower_bw
+        ku = self.upper_bw if upper_bw is None else upper_bw
         if not (0 <= lo < hi <= self.n):
             raise ValueError("invalid submatrix range")
+        if not (0 <= kl <= self.lower_bw and 0 <= ku <= self.upper_bw and spare_rows >= 0):
+            raise ValueError("invalid submatrix bandwidths")
         n = hi - lo
-        data = self.data[:, lo:hi].copy()
-        for off in range(-self.upper_bw, self.lower_bw + 1):  # zero rows outside [0, n)
+        store = np.zeros((spare_rows + kl + ku + 1, n), dtype=self.data.dtype,
+                         order="F" if spare_rows else "C")
+        data = store[spare_rows:]
+        data[...] = self.data[self.upper_bw - ku : self.upper_bw + kl + 1, lo:hi]
+        for off in range(-ku, kl + 1):  # zero rows outside [0, n)
             if off < 0:
-                data[self.upper_bw + off, : min(-off, n)] = 0
+                data[ku + off, : min(-off, n)] = 0
             elif off > 0:
-                data[self.upper_bw + off, max(n - off, 0) :] = 0
-        return BandedMatrix(n, self.lower_bw, self.upper_bw, data=data, dtype=self.data.dtype)
+                data[ku + off, max(n - off, 0) :] = 0
+        return BandedMatrix(n, kl, ku, data=data, dtype=self.data.dtype)
 
 
 # ---------------------------------------------------------------------------

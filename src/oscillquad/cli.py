@@ -232,7 +232,7 @@ def cmd_plotdata(config: dict, args) -> list[list[str]]:
     for path in inputs:
         try:
             with open(path) as fh:
-                rows = list(csv.reader(fh))
+                rows = [row for row in csv.reader(fh) if row]  # blank lines skipped
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         if len(rows) < 2:

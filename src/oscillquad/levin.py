@@ -10,15 +10,18 @@ their rounding floor are left out; for s >= 1 endpoint-derivative
 conditions add 2s tail coefficients per component.
 
 The engine holds what does not depend on f: the folded operator as one
-band interleaved over components (Hockney order), its LU, every endpoint
-condition (l = 0..s) as one matrix of rows over the whole basis, the null
-vectors and tail columns as one correction basis (one multi-column banded
-solve, in coefficient space), and one small matrix W that inverts the
-conditions on that basis; also r(+-1), |r(+-1)|, (1 - x^2) r on the grid
-and a scipy DIA view of the band, so that a call recomputes no constant.
-A call then costs one inverse DCT-I per component with a nonzero sample
-(an all-zero component gets zero coefficients without one), one
-one-column banded solve and two products: g = rows head, then
+band interleaved over components (unknowns in Hockney order; the equations
+of each grid point in the order, chosen once per build from the block
+half-widths, that makes the interior band narrowest, which for Bessel
+swaps the two), its LU, every endpoint condition (l = 0..s) as one matrix
+of rows over the whole basis, the null vectors and tail columns as one
+correction basis (one multi-column banded solve, in coefficient space),
+and one small matrix W that inverts the conditions on that basis; also
+r(+-1), |r(+-1)|, (1 - x^2) r on the grid and a scipy DIA view of the
+band, so that a call recomputes no constant.  A call then costs one
+inverse DCT-I per component with a nonzero sample (an all-zero component
+gets zero coefficients without one), taken in the band's equation order,
+one one-column banded solve and two products: g = rows head, then
 head + basis^T W (targets - g).  The residual check applies the band as
 one scipy band product and the tail columns as one matrix product, bounds
 the interior rows in coefficient space, and spends one forward transform
@@ -39,14 +42,17 @@ in the field of its system: float64 when r and every r G entry are real
 (the Bessel family), complex128 otherwise; a complex amplitude on a real
 engine is solved as its real and imaginary parts.  An M = 2 engine keeps
 about 0.9 KB per unit of nu, which ``MAX_NU`` bounds; the build releases
-each unfolded block as soon as it is folded, and writes the band and the
-right-hand sides once, in the layout gbtrf and gbtrs read.  Each build is
-logged at DEBUG level.  All entry points are pure functions of their
+each unfolded block as soon as it is folded, and writes the interior band
+(on its own half-widths) and the right-hand sides once, in the layout
+gbtrf and gbtrs read.  The grid and the endpoint tables of T_n, which
+depend on nu and s alone, are kept for the last eight sizes.  Each build
+is logged at DEBUG level.  All entry points are pure functions of their
 problem; a shared engine is read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -61,6 +67,8 @@ from .banded import (
     banded_lu_factor,
     banded_solve,
     dense_solve,
+    interleaved_halfwidths,
+    narrowest_equation_order,
     reorder_block_banded,
 )
 from .chebyshev import (
@@ -223,7 +231,10 @@ class CollocationEngine:
              for j in range(m)]
             for i in range(m)
         ]
-        lbw = max(b.lower_bw for row in blocks for b in row)
+        # Each block is as wide below as above, and so is its interior after
+        # the fold, which reaches diagonal fold_depth + 1 only in column nu + 1.
+        widths = [[b.lower_bw for b in row] for row in blocks]
+        lbw = max(max(row) for row in widths)
         self.fold_depth = lbw - 1
         if nu <= self.fold_depth:
             raise UnsupportedRegimeError(
@@ -231,26 +242,36 @@ class CollocationEngine:
             )
         n_head = nu + 2
         n_all = nu + 2 * s + 2
+        # The band holds the M equations of each grid point in this order,
+        # the one whose interior band is narrowest (for Bessel, swapped).
+        self.order = narrowest_equation_order(widths)
         # For s >= 1, the tail columns: the scaled operator applied to each tail
-        # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid.  Each
-        # unfolded block gives its share, then is replaced by its fold.
+        # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid, with
+        # its equations in band order.  Each unfolded block gives its share,
+        # then is replaced by its fold.
         tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
-        tail_cols = np.empty((len(tail), m, n_build), dtype=self.dtype)
-        for i, j in np.ndindex(m, m):
+        tail_cols = np.empty((len(tail), m, n_build), dtype=self.dtype) if s else None
+        for a, j in np.ndindex(m, m):
+            i = self.order[a]
             for c, (k, n) in enumerate(tail):
                 if k == j:
-                    tail_cols[c, i] = blocks[i][j].column(n)
+                    tail_cols[c, a] = blocks[i][j].column(n)
             blocks[i][j] = fold_operator(blocks[i][j], nu, self.fold_depth)
-        # The folded blocks, interleaved into one band (Hockney order: row
-        # M*n + i of column M*n' + j is entry (n, n') of block (i, j)), whose
-        # interior rows and columns n = 1..nu are the projected system.
-        self.operator = reorder_block_banded(blocks)
+        # The folded blocks, interleaved into one band (row M*n + a of column
+        # M*n' + j is entry (n, n') of block (order[a], j)), whose interior
+        # rows and columns n = 1..nu are the projected system.
+        self.operator = reorder_block_banded(blocks, self.order)
         del blocks
         # The residual's product, a view of the band (its construction costs
         # more than a small call's transform)
         self.operator_dia = self.operator.as_dia()
-        self.tail_ops = fold_chebyshev_tail(tail_cols, nu)
-        self.lu = banded_lu_factor(self.interior_band())
+        self.tail_ops = (fold_chebyshev_tail(tail_cols, nu) if s
+                         else np.zeros((0, m, nu + 2), dtype=self.dtype))
+        # The interior band on its own half-widths, copied once into the
+        # array that gbtrf factors in place.
+        kl, ku = interleaved_halfwidths(widths, self.order)
+        self.lu = banded_lu_factor(
+            self.operator.principal_submatrix(m, m * (nu + 1), kl, ku, spare_rows=kl))
         # (1 - c_m^2) |r(c_m)| on the interior points, which the residual
         # divides by
         self.interior_scale = (self.grid.sin2 * np.abs(self.r_vals))[1:-1]
@@ -264,7 +285,7 @@ class CollocationEngine:
         ends = self._in_field(polynomial_endpoint_derivatives(polys, s))
         self.r_derivs = ends[0]
         gt_derivs = ends[1:].reshape(m, m, 2, s + 1).transpose(0, 2, 1, 3)  # (i, e, j, p)
-        t_tabs = np.array([endpoint_derivative_rows(n_all - 1, s + 1, sign) for sign in (+1, -1)])
+        t_tabs = _endpoint_tables(n_all - 1, s + 1)
         # T_n(-1) = (-1)^n, the weights of q(-1) in the boundary value.
         self.signs = t_tabs[1, 0].copy()
         rows = np.zeros((s + 1, m, 2, m, n_all), dtype=self.dtype)
@@ -294,6 +315,7 @@ class CollocationEngine:
         for col, (k, n) in enumerate(units):
             basis[col, k, n] = 1.0
         self.basis = basis.reshape(len(units), m * n_all)
+        del rhs, x  # the build's peak comes later
 
         # A call solves C w = targets - rows head for the weights of the
         # basis, C = rows basis^T = [[B, E], [T, U]] (B, the border: endpoint
@@ -306,6 +328,7 @@ class CollocationEngine:
         cond = np.empty((len(self.rows), len(self.basis)), dtype=self.rows.dtype)
         for k, v in enumerate(self.basis):
             np.multiply(self.rows, v, out=products).sum(axis=1, out=cond[:, k])
+        del products
         self.border = cond[: 2 * m, : 2 * m]
         pinv = self._border_pseudo_inverse()
         # Why the tail system failed its pivot screen; each call raises it.
@@ -336,8 +359,10 @@ class CollocationEngine:
 
     def interior_band(self) -> BandedMatrix:
         """The projected system: rows and columns M .. M(nu+1)-1 of the
-        operator, a new band that the engine factors and does not keep."""
-        return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1))
+        operator, equations in band order, on the half-widths of the LU; a
+        new band like the one the engine factors and does not keep."""
+        return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1),
+                                                 self.lu.kl, self.lu.ku)
 
     def _in_field(self, values) -> np.ndarray:
         """Values of this system's polynomials in the engine's field; a real
@@ -391,7 +416,8 @@ class CollocationEngine:
         cleared endpoint derivatives in (order, component, end) order.
         Returns the coefficients (M, nu+2s+2), real when the engine and the
         right-hand side are both real, and z (M, nu+2), the DCT-I
-        coefficients of each component's scaled right-hand side, which
+        coefficients of each component's scaled right-hand side in the
+        band's equation order (row a is component ``order[a]``), which
         ``residual`` checks against; a component with no nonzero sample is
         not transformed, and its z row is zero.  Raises the engine's
         ``SingularMatrixError`` when its tail system failed the pivot screen.
@@ -399,8 +425,9 @@ class CollocationEngine:
         if self.tail_singular is not None:
             raise SingularMatrixError(str(self.tail_singular), self.tail_singular.pivot_index)
         m, nu = self.m, self.nu
+        in_band_order = [rhs_scaled[i] for i in self.order]
         z = np.array([apply_inverse_collocation(row) if row.any() else np.zeros(nu + 2)
-                      for row in rhs_scaled])
+                      for row in in_band_order])
         x = banded_solve(self.lu, z[:, 1 : nu + 1].T.reshape(-1))
         coeffs = np.zeros((m, nu + 2 * self.s + 2), dtype=np.result_type(x, targets))
         coeffs[:, 1 : nu + 1] = x.reshape(nu, m).T
@@ -441,7 +468,8 @@ class CollocationEngine:
         if certified <= level:
             return certified
         y = np.array([apply_collocation_matrix(a, self.grid) for a in acc])
-        interior = np.abs(y[:, 1:-1] - (self.sin2_r * f_values)[:, 1:-1]) / self.interior_scale
+        rhs = (self.sin2_r * f_values)[list(self.order), 1:-1]  # band order
+        interior = np.abs(y[:, 1:-1] - rhs) / self.interior_scale
         return float(max(interior.max(), ends.max()))
 
 
@@ -501,6 +529,15 @@ def _forget_engine() -> None:
     """Empty the engine slot, so that the next fast solve builds its engine."""
     global _engine_slot
     _engine_slot = None
+
+
+@functools.lru_cache(maxsize=8)
+def _endpoint_tables(n_max: int, l_max: int) -> np.ndarray:
+    """[T_n^(l)](+1) and [T_n^(l)](-1), n = 0..n_max, l = 0..l_max, as one
+    read-only (2, l_max + 1, n_max + 1) array; the last eight sizes are kept."""
+    tables = np.array([endpoint_derivative_rows(n_max, l_max, sign) for sign in (+1, -1)])
+    tables.setflags(write=False)
+    return tables
 
 
 # ---------------------------------------------------------------------------

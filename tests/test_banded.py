@@ -16,6 +16,8 @@ from oscillquad.banded import (
     banded_solve,
     dense_condest,
     dense_solve,
+    interleaved_halfwidths,
+    narrowest_equation_order,
     reorder_block_banded,
 )
 from oscillquad.chebyshev import BandedMatrix
@@ -290,6 +292,53 @@ def test_reorder_of_unequal_block_bandwidths_is_the_exact_permutation(m, bands):
     assert (out.lower_bw, out.upper_bw) == (m * max_lo + m - 1, m * max_up + m - 1)
 
 
+@pytest.mark.parametrize("order", [(1, 0), (2, 0, 1), (1, 2, 0)])
+def test_reorder_in_an_equation_order_permutes_the_rows_only(order):
+    # row M l + a holds equation order[a]; columns stay in Hockney order,
+    # and no entry lies outside the half-widths interleaved_halfwidths
+    # gives the blocks (at most the Hockney bound)
+    m, nub = len(order), 9
+    rng = np.random.default_rng(60 + m)
+    widths = [[(a + 2 * b) % 4 for b in range(m)] for a in range(m)]
+    blocks = [[band_from_dense(random_banded(nub, widths[a][b], widths[a][b], rng, dtype=float),
+                               widths[a][b], widths[a][b]) for b in range(m)] for a in range(m)]
+    out = reorder_block_banded(blocks, order)
+    idx = np.arange(m * nub)
+    cols = (idx % m) * nub + idx // m
+    rows = np.array(order)[idx % m] * nub + idx // m
+    big = np.block([[band_to_dense(blk) for blk in row] for row in blocks])
+    dense = band_to_dense(out)
+    assert np.array_equal(dense, big[np.ix_(rows, cols)])
+    kl, ku = interleaved_halfwidths(widths, order)
+    assert not np.tril(dense, -kl - 1).any() and not np.triu(dense, ku + 1).any()
+    assert kl <= out.lower_bw and ku <= out.upper_bw
+
+
+def test_narrowest_equation_order_from_the_block_half_widths():
+    bessel = [[3, 4], [4, 3]]
+    assert interleaved_halfwidths(bessel, (0, 1)) == (9, 9)
+    assert interleaved_halfwidths(bessel, (1, 0)) == (8, 8)
+    assert narrowest_equation_order(bessel) == (1, 0)
+    assert narrowest_equation_order([[3]]) == (0,)
+    assert narrowest_equation_order([[3, 0, 0], [0, 3, 0], [0, 0, 3]]) == (0, 1, 2)
+    # equation 0 is widest against unknown 2, equation 2 against unknown 0
+    cyclic = [[1, 1, 4], [1, 4, 1], [4, 1, 1]]
+    assert narrowest_equation_order(cyclic) == (2, 1, 0)
+    assert interleaved_halfwidths(cyclic, (2, 1, 0)) == (12, 12)
+    assert interleaved_halfwidths(cyclic, (0, 1, 2)) == (14, 14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, 5), min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_the_chosen_equation_order_is_never_wider_than_the_identity(widths):
+    m = len(widths)
+    order = narrowest_equation_order(widths)
+    assert sorted(order) == list(range(m))
+    assert sum(interleaved_halfwidths(widths, order)) <= sum(
+        interleaved_halfwidths(widths, tuple(range(m))))
+
+
 def test_reorder_rejects_inconsistent_blocks():
     blocks = [[identity(4), identity(4)],
               [identity(4), identity(5)]]
@@ -367,6 +416,28 @@ def test_condest_tracks_exact_one_norm_condition():
     est = dense_condest(a)
     assert est <= exact * (1 + 1e-10)
     assert est >= 0.3 * exact
+
+
+def test_a_band_laid_out_for_gbtrf_is_factored_in_place():
+    # principal_submatrix with kl spare rows writes the narrowed band once,
+    # into the Fortran-ordered array that gbtrf overwrites with the factors;
+    # they equal, bit for bit, the factors of a copied band
+    rng = np.random.default_rng(8)
+    dense = random_banded(40, 3, 3, rng, diag_boost=4.0, dtype=float)
+    wide = band_from_dense(dense, 5, 4)  # two empty diagonals below, one above
+    sub = wide.principal_submatrix(2, 38, 3, 3, spare_rows=3)
+    assert (sub.lower_bw, sub.upper_bw) == (3, 3)
+    assert sub.data.base.shape == (10, 36) and sub.data.base.flags.f_contiguous
+    assert not sub.data.base[:3].any()
+    copied = wide.principal_submatrix(2, 38, 3, 3)
+    assert copied.data.flags.c_contiguous
+    assert np.array_equal(sub.data, copied.data)
+    assert np.array_equal(band_to_dense(copied), dense[2:38, 2:38])
+    in_place, plain = banded_lu_factor(sub), banded_lu_factor(copied)
+    assert in_place.factors.data is sub.data.base
+    assert np.array_equal(copied.data, band_from_dense(dense[2:38, 2:38], 3, 3).data)
+    assert in_place.factors.data.tobytes() == plain.factors.data.tobytes()
+    assert np.array_equal(in_place.pivots, plain.pivots)
 
 
 def test_condest_draws_nothing_from_the_global_generator():

@@ -360,6 +360,24 @@ def test_plotdata_merges_omega_sweeps(tmp_path, monkeypatch):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("figure", ["error_vs_omega", "timing"])
+def test_plotdata_skips_blank_lines(tmp_path, figure):
+    # a blank line in an input CSV once raised IndexError (exit 1)
+    src = tmp_path / "in.csv"
+    if figure == "error_vs_omega":
+        src.write_text("omega,nu,abs_error\n10,16,1e-9\n\n100,16,2e-9\n\n")
+        want = [{"omega": "10", "abs_error_a": "1e-9"}, {"omega": "100", "abs_error_a": "2e-9"}]
+    else:
+        src.write_text("nu,method,wall_seconds\n16,fast,0.1\n\n16,dense,0.2\n")
+        want = [{"nu": "16", "wall_seconds_fast": "0.1", "wall_seconds_dense": "0.2"}]
+    cfg = tmp_path / "fig.json"
+    cfg.write_text(json.dumps({"figure": figure, "inputs": [str(src)], "labels": ["a"]}))
+    out = tmp_path / "fig.csv"
+    code, rows = run_cli(["plotdata", "--config", cfg, "--out", out], out_path=out)
+    assert code == 0
+    assert rows == want
+
+
 def test_plotdata_pivots_bench(tmp_path):
     cfg = write_config(tmp_path, nu_grid=[16])
     bench_out = tmp_path / "bench.csv"
