@@ -149,9 +149,9 @@ def reorder_block_banded(blocks, order=None) -> BandedMatrix:
     :class:`BandedMatrix` blocks.  Row M*l1 + a, column M*l2 + b of the
     result holds entry (l1, l2) of block (order[a], b): unknowns interleave
     in their own order, and each row group holds the M equations in
-    ``order`` (default the identity, Hockney order).  The band has
-    half-width at most M * max_block_halfwidth + M - 1 on each side, and the
-    blocks' common dtype.  For M = 1 the one block is returned as it is.
+    ``order`` (default the identity, Hockney order), on the half-widths
+    :func:`interleaved_halfwidths` gives, in the blocks' common dtype.  For
+    M = 1 the one block is returned as it is.
     """
     m = len(blocks)
     if m < 1 or any(len(row) != m for row in blocks):
@@ -164,28 +164,28 @@ def reorder_block_banded(blocks, order=None) -> BandedMatrix:
     nub = blocks[0][0].n
     if any(blk.n != nub for row in blocks for blk in row):
         raise ValueError("inconsistent block sizes")
-    max_lo = max(blk.lower_bw for row in blocks for blk in row)
-    max_up = max(blk.upper_bw for row in blocks for blk in row)
-    lo = m * max_lo + (m - 1)
-    up = m * max_up + (m - 1)
+    kl, ku = interleaved_halfwidths([[blk.lower_bw for blk in row] for row in blocks], order,
+                                    [[blk.upper_bw for blk in row] for row in blocks])
     dtype = np.result_type(*(blk.data for row in blocks for blk in row))
-    out = BandedMatrix(m * nub, lo, up, dtype=dtype)
+    out = BandedMatrix(m * nub, kl, ku, dtype=dtype)
     for a, b in np.ndindex(m, m):
-        # Diagonal off of block (order[a], b) is diagonal M off + a - b of the
+        # Diagonal off of block (order[a], b) is diagonal M off + b - a of the
         # result, on columns b, b + M, ...; its zero slots land on zero slots.
         blk = blocks[order[a]][b]
-        top = up + a - b - m * blk.upper_bw
+        top = ku + a - b - m * blk.upper_bw
         out.data[top : top + m * (blk.upper_bw + blk.lower_bw) + 1 : m, b::m] = blk.data
     return out
 
 
-def interleaved_halfwidths(widths, order) -> tuple[int, int]:
-    """(kl, ku) of M x M blocks of half-width ``widths[i][j]`` on each side,
-    interleaved as :func:`reorder_block_banded` does with ``order``: block
-    (order[a], j) spans diagonals -M w + j - a to M w + j - a."""
+def interleaved_halfwidths(widths, order, upper=None) -> tuple[int, int]:
+    """(kl, ku) of M x M blocks interleaved as :func:`reorder_block_banded`
+    does with ``order``, block (i, j) of half-width ``widths[i][j]`` below
+    the diagonal and ``upper[i][j]`` (default the same) above: block
+    (order[a], j) spans diagonals -M w + j - a to M u + j - a."""
     m = len(order)
+    upper = widths if upper is None else upper
     kl = max(m * widths[i][j] + a - j for a, i in enumerate(order) for j in range(m))
-    ku = max(m * widths[i][j] + j - a for a, i in enumerate(order) for j in range(m))
+    ku = max(m * upper[i][j] + j - a for a, i in enumerate(order) for j in range(m))
     return kl, ku
 
 

@@ -347,33 +347,25 @@ class BandedMatrix:
         col[i0:i1] = self.data[self.upper_bw + i0 - j : self.upper_bw + i1 - j, j]
         return col
 
-    def principal_submatrix(self, lo: int, hi: int, lower_bw: int | None = None,
-                            upper_bw: int | None = None,
-                            spare_rows: int = 0) -> "BandedMatrix":
-        """Rows and columns lo..hi-1 as a new banded matrix, copied once.
+    def principal_submatrix(self, lo: int, hi: int, spare_rows: int = 0) -> "BandedMatrix":
+        """Rows and columns lo..hi-1 as a new banded matrix on this one's
+        half-widths, copied once into the only array it allocates.
 
-        ``lower_bw`` and ``upper_bw`` (default: this matrix's) may narrow
-        the band; the caller vouches that the diagonals left out are zero
-        on these rows and columns.  With ``spare_rows``, the band is the
-        last rows of a Fortran-ordered array that has that many zero rows
-        above it, the layout gbtrf factors in place (for kl spare rows).
+        With ``spare_rows``, the band is the last rows of a Fortran-ordered
+        array that has that many zero rows above it, the layout gbtrf
+        factors in place (for kl spare rows).
         """
-        kl = self.lower_bw if lower_bw is None else lower_bw
-        ku = self.upper_bw if upper_bw is None else upper_bw
-        if not (0 <= lo < hi <= self.n):
+        if not (0 <= lo < hi <= self.n and spare_rows >= 0):
             raise ValueError("invalid submatrix range")
-        if not (0 <= kl <= self.lower_bw and 0 <= ku <= self.upper_bw and spare_rows >= 0):
-            raise ValueError("invalid submatrix bandwidths")
-        n = hi - lo
+        kl, ku, n = self.lower_bw, self.upper_bw, hi - lo
         store = np.zeros((spare_rows + kl + ku + 1, n), dtype=self.data.dtype,
                          order="F" if spare_rows else "C")
         data = store[spare_rows:]
-        data[...] = self.data[self.upper_bw - ku : self.upper_bw + kl + 1, lo:hi]
-        for off in range(-ku, kl + 1):  # zero rows outside [0, n)
-            if off < 0:
-                data[ku + off, : min(-off, n)] = 0
-            elif off > 0:
-                data[ku + off, max(n - off, 0) :] = 0
+        data[...] = self.data[:, lo:hi]
+        for k in range(1, ku + 1):  # zero the slots of rows outside [0, n)
+            data[ku - k, : min(k, n)] = 0
+        for k in range(1, kl + 1):
+            data[ku + k, max(n - k, 0) :] = 0
         return BandedMatrix(n, kl, ku, data=data, dtype=self.data.dtype)
 
 
@@ -438,39 +430,42 @@ def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
     return BandedMatrix(n_rows, w, w, data=data, dtype=data.dtype)
 
 
-def fold_operator(b: BandedMatrix, nu: int, d: int) -> BandedMatrix:
-    """Fold the banded operator onto a (nu+2) x (nu+2) matrix.
+def fold_operator(b: BandedMatrix, nu: int, d: int, stride: int = 1) -> BandedMatrix:
+    """Fold the banded operator onto the grid, on ``b``'s own half-widths.
 
-    Row n of the result equals row n of ``b`` for n < nu - d and n = nu + 1;
-    rows nu-d..nu additionally absorb row 2(nu+1) - n, which is aliased onto
-    row n by the identity T_{nu+1+l}(c_m) = T_{nu+1-l}(c_m) at the grid
-    points (the reflection of :func:`fold_chebyshev_tail`).  Only the last
-    ``b.lower_bw`` columns reach rows past nu + 1.  Rows of ``b`` beyond
-    nu + d + 2 are discarded; choosing d >= lower bandwidth - 1 guarantees
-    nothing nonzero is dropped.
+    ``b`` interleaves ``stride`` components (row stride n + a is row n of
+    component a); the result has stride (nu + 2) rows.  Row stride (nu+1+l) + a,
+    l = 1..d+1, is added to row stride (nu+1-l) + a, as T_{nu+1+l} = T_{nu+1-l}
+    at the grid points (:func:`fold_chebyshev_tail`); later rows are dropped,
+    so d >= (a block's lower half-width) - 1 drops nothing.  Each block must be
+    as wide above the diagonal as below, as the operator's are: column c <= nu+1
+    of a block of half-width w meets row nu+1+l only for l <= w + c - nu - 1,
+    whose reflection lies c - nu - 1 + l <= w above the diagonal.  A nonzero
+    entry whose reflection would leave the band raises ValueError.
     """
     if nu <= d:
         raise UnsupportedRegimeError(
-            f"folding needs nu > d (got nu={nu}, d={d}); fall back to the dense path"
-        )
-    if b.n < nu + d + 3:
+            f"nu={nu} too small for operator bandwidth (need nu > {d})")
+    m, kl, ku = stride, b.lower_bw, b.upper_bw
+    if b.n < m * (nu + d + 3):
         raise ValueError("operator matrix too small to fold: need rows up to nu + d + 2")
-    n = nu + 2
-    up = max(b.upper_bw, d + 1)
-    data = np.empty((up + b.lower_bw + 1, n), dtype=b.data.dtype)
-    data[: up - b.upper_bw] = 0  # the diagonals the fold adds above b's band
-    data[up - b.upper_bw :] = b.data[:, :n]
-    # Slot up + r - c of column c is row r = nu+1+l >= n; rows up to nu+d+2
-    # fold onto row nu+1-l, then all are zeroed (rows below 0 already are).
-    cols = np.arange(max(0, n - b.lower_bw), n)
-    r, c = np.nonzero(np.arange(n, n + b.lower_bw)[:, None] <= cols + b.lower_bw)
+    n = m * (nu + 2)
+    data = b.data[:, :n].copy()
+    # Slot ku + r - c of column c is row r = m (nu+1+l) + a >= n, folded onto
+    # slot ku + r - 2 m l - c for l <= d + 1; then all are zeroed.
+    cols = np.arange(max(0, n - kl), n)
+    r, c = np.nonzero(np.arange(n, n + kl)[:, None] <= cols + kl)
     r += n
     c = cols[c]
-    slot = up + r - c
-    k = np.count_nonzero(r <= nu + d + 2)  # r is ascending
-    data[slot[:k] - 2 * (r[:k] - nu - 1), c[:k]] += data[slot[:k], c[:k]]
+    slot = ku + r - c
+    to = slot - 2 * m * (r // m - nu - 1)
+    folds = r < m * (nu + d + 3)
+    if data[slot[folds & (to < 0)], c[folds & (to < 0)]].any():
+        raise ValueError("a block of the operator is wider below the diagonal than above")
+    folds &= to >= 0
+    data[to[folds], c[folds]] += data[slot[folds], c[folds]]
     data[slot, c] = 0
-    return BandedMatrix(n, b.lower_bw, up, data=data, dtype=data.dtype)
+    return BandedMatrix(n, kl, ku, data=data, dtype=data.dtype)
 
 
 def fold_chebyshev_tail(coeffs, nu: int) -> np.ndarray:

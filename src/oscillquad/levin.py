@@ -27,13 +27,14 @@ one scipy band product and the tail columns as one matrix product, bounds
 the interior rows in coefficient space, and spends one forward transform
 per component only when that bound does not clear the flag level.
 
-Building, folding and interleaving each operator block takes a fixed
-number of numpy calls (small index arrays, one strided slice), not a loop
-over its columns or diagonals; the condition rows take one broadcast
-Leibniz product per (l, p), and the endpoint derivatives of r and every
-r G entry one pass of Horner's rule.  Each entry still gets the
-floating-point operations, in the order, of its entry-by-entry
-definition: the border pseudo-inverse amplifies a one-ulp change.
+Building each operator block, interleaving the blocks and folding the
+band take a fixed number of numpy calls (small index arrays, one strided
+slice per block), not a loop over columns or diagonals; the condition
+rows take one broadcast Leibniz product per (l, p), and the endpoint
+derivatives of r and every r G entry one pass of Horner's rule.  Each
+entry still gets the floating-point operations, in the order, of its
+entry-by-entry definition: the border pseudo-inverse amplifies a one-ulp
+change.
 
 One slot keeps the last engine built (``_engine_for``), keyed by nu, s and
 the coefficients of r and r G (which fix M); a miss drops the old engine
@@ -41,9 +42,10 @@ before building the new one, so two never live at once.  The engine works
 in the field of its system: float64 when r and every r G entry are real
 (the Bessel family), complex128 otherwise; a complex amplitude on a real
 engine is solved as its real and imaginary parts.  An M = 2 engine keeps
-about 0.9 KB per unit of nu, which ``MAX_NU`` bounds; the build releases
-each unfolded block as soon as it is folded, and writes the interior band
-(on its own half-widths) and the right-hand sides once, in the layout
+about 0.9 KB per unit of nu, which ``MAX_NU`` bounds.  The build
+interleaves the unfolded blocks into one band on exact half-widths, which
+the fold, the interior band and its LU keep, folds that band once, and
+writes the interior band and the right-hand sides once, in the layout
 gbtrf and gbtrs read.  The grid and the endpoint tables of T_n, which
 depend on nu and s alone, are kept for the last eight sizes.  Each build
 is logged at DEBUG level.  All entry points are pure functions of their
@@ -67,7 +69,6 @@ from .banded import (
     banded_lu_factor,
     banded_solve,
     dense_solve,
-    interleaved_halfwidths,
     narrowest_equation_order,
     reorder_block_banded,
 )
@@ -231,47 +232,31 @@ class CollocationEngine:
              for j in range(m)]
             for i in range(m)
         ]
-        # Each block is as wide below as above, and so is its interior after
-        # the fold, which reaches diagonal fold_depth + 1 only in column nu + 1.
-        widths = [[b.lower_bw for b in row] for row in blocks]
-        lbw = max(max(row) for row in widths)
-        self.fold_depth = lbw - 1
-        if nu <= self.fold_depth:
-            raise UnsupportedRegimeError(
-                f"nu={nu} too small for operator bandwidth (need nu > {self.fold_depth})"
-            )
-        n_head = nu + 2
+        widths = [[b.lower_bw for b in row] for row in blocks]  # as wide above
         n_all = nu + 2 * s + 2
-        # The band holds the M equations of each grid point in this order,
-        # the one whose interior band is narrowest (for Bessel, swapped).
+        # The blocks interleaved into one band (row M*n + a of column M*n' + j
+        # is entry (n, n') of block (order[a], j)), the M equations of each
+        # grid point in the order whose band is narrowest (for Bessel, swapped).
         self.order = narrowest_equation_order(widths)
+        band = reorder_block_banded(blocks, self.order)
+        del blocks
         # For s >= 1, the tail columns: the scaled operator applied to each tail
         # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid, with
-        # its equations in band order.  Each unfolded block gives its share,
-        # then is replaced by its fold.
-        tail = [(k, n) for k in range(m) for n in range(n_head, n_all)]
-        tail_cols = np.empty((len(tail), m, n_build), dtype=self.dtype) if s else None
-        for a, j in np.ndindex(m, m):
-            i = self.order[a]
-            for c, (k, n) in enumerate(tail):
-                if k == j:
-                    tail_cols[c, a] = blocks[i][j].column(n)
-            blocks[i][j] = fold_operator(blocks[i][j], nu, self.fold_depth)
-        # The folded blocks, interleaved into one band (row M*n + a of column
-        # M*n' + j is entry (n, n') of block (order[a], j)), whose interior
+        # its equations in band order.
+        tail = [(k, n) for k in range(m) for n in range(nu + 2, n_all)]
+        cols = [band.column(m * n + k).reshape(n_build, m).T for k, n in tail]
+        self.tail_ops = (fold_chebyshev_tail(np.array(cols), nu) if s
+                         else np.zeros((0, m, nu + 2), dtype=self.dtype))
+        # The band folded onto the grid, on its own half-widths; its interior
         # rows and columns n = 1..nu are the projected system.
-        self.operator = reorder_block_banded(blocks, self.order)
-        del blocks
+        self.operator = fold_operator(band, nu, max(max(row) for row in widths) - 1, stride=m)
+        del band
         # The residual's product, a view of the band (its construction costs
         # more than a small call's transform)
         self.operator_dia = self.operator.as_dia()
-        self.tail_ops = (fold_chebyshev_tail(tail_cols, nu) if s
-                         else np.zeros((0, m, nu + 2), dtype=self.dtype))
-        # The interior band on its own half-widths, copied once into the
-        # array that gbtrf factors in place.
-        kl, ku = interleaved_halfwidths(widths, self.order)
-        self.lu = banded_lu_factor(
-            self.operator.principal_submatrix(m, m * (nu + 1), kl, ku, spare_rows=kl))
+        # The interior, copied once into the array that gbtrf factors in place.
+        self.lu = banded_lu_factor(self.operator.principal_submatrix(
+            m, m * (nu + 1), spare_rows=self.operator.lower_bw))
         # (1 - c_m^2) |r(c_m)| on the interior points, which the residual
         # divides by
         self.interior_scale = (self.grid.sin2 * np.abs(self.r_vals))[1:-1]
@@ -359,10 +344,9 @@ class CollocationEngine:
 
     def interior_band(self) -> BandedMatrix:
         """The projected system: rows and columns M .. M(nu+1)-1 of the
-        operator, equations in band order, on the half-widths of the LU; a
-        new band like the one the engine factors and does not keep."""
-        return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1),
-                                                 self.lu.kl, self.lu.ku)
+        operator, equations in band order, on its half-widths, which are the
+        LU's; a new band like the one the engine factors and does not keep."""
+        return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1))
 
     def _in_field(self, values) -> np.ndarray:
         """Values of this system's polynomials in the engine's field; a real

@@ -287,16 +287,20 @@ def test_reorder_of_unequal_block_bandwidths_is_the_exact_permutation(m, bands):
     assert np.array_equal(band_to_dense(out), big[np.ix_(perm, perm)])
     assert np.array_equal(out.data, band_from_dense(band_to_dense(out), out.lower_bw,
                                                     out.upper_bw).data)
-    max_lo = max(widths(a, b)[0] for a in range(m) for b in range(m))
-    max_up = max(widths(a, b)[1] for a in range(m) for b in range(m))
-    assert (out.lower_bw, out.upper_bw) == (m * max_lo + m - 1, m * max_up + m - 1)
+    # the exact half-widths, not the Hockney bound: block (a, b) spans
+    # diagonals -M lower + b - a to M upper + b - a, and the band's outermost
+    # diagonals hold entries
+    kl = max(m * widths(a, b)[0] + a - b for a in range(m) for b in range(m))
+    ku = max(m * widths(a, b)[1] + b - a for a in range(m) for b in range(m))
+    assert (out.lower_bw, out.upper_bw) == (kl, ku)
+    assert out.data[0].any() and out.data[-1].any()
 
 
 @pytest.mark.parametrize("order", [(1, 0), (2, 0, 1), (1, 2, 0)])
 def test_reorder_in_an_equation_order_permutes_the_rows_only(order):
     # row M l + a holds equation order[a]; columns stay in Hockney order,
-    # and no entry lies outside the half-widths interleaved_halfwidths
-    # gives the blocks (at most the Hockney bound)
+    # and the band has the half-widths interleaved_halfwidths gives the
+    # blocks, with no entry outside them
     m, nub = len(order), 9
     rng = np.random.default_rng(60 + m)
     widths = [[(a + 2 * b) % 4 for b in range(m)] for a in range(m)]
@@ -311,7 +315,7 @@ def test_reorder_in_an_equation_order_permutes_the_rows_only(order):
     assert np.array_equal(dense, big[np.ix_(rows, cols)])
     kl, ku = interleaved_halfwidths(widths, order)
     assert not np.tril(dense, -kl - 1).any() and not np.triu(dense, ku + 1).any()
-    assert kl <= out.lower_bw and ku <= out.upper_bw
+    assert (kl, ku) == (out.lower_bw, out.upper_bw)
 
 
 def test_narrowest_equation_order_from_the_block_half_widths():
@@ -419,17 +423,17 @@ def test_condest_tracks_exact_one_norm_condition():
 
 
 def test_a_band_laid_out_for_gbtrf_is_factored_in_place():
-    # principal_submatrix with kl spare rows writes the narrowed band once,
-    # into the Fortran-ordered array that gbtrf overwrites with the factors;
-    # they equal, bit for bit, the factors of a copied band
+    # principal_submatrix with kl spare rows writes the band once, into the
+    # Fortran-ordered array that gbtrf overwrites with the factors; they
+    # equal, bit for bit, the factors of a copied band
     rng = np.random.default_rng(8)
     dense = random_banded(40, 3, 3, rng, diag_boost=4.0, dtype=float)
-    wide = band_from_dense(dense, 5, 4)  # two empty diagonals below, one above
-    sub = wide.principal_submatrix(2, 38, 3, 3, spare_rows=3)
+    band = band_from_dense(dense, 3, 3)
+    sub = band.principal_submatrix(2, 38, spare_rows=3)
     assert (sub.lower_bw, sub.upper_bw) == (3, 3)
     assert sub.data.base.shape == (10, 36) and sub.data.base.flags.f_contiguous
     assert not sub.data.base[:3].any()
-    copied = wide.principal_submatrix(2, 38, 3, 3)
+    copied = band.principal_submatrix(2, 38)
     assert copied.data.flags.c_contiguous
     assert np.array_equal(sub.data, copied.data)
     assert np.array_equal(band_to_dense(copied), dense[2:38, 2:38])

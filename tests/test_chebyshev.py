@@ -551,6 +551,18 @@ def test_fold_rejects_small_nu():
         fold_operator(b, 2, 4)
 
 
+def test_fold_rejects_a_band_wider_below_than_above():
+    # row nu + 3 of column nu + 1 reflects onto row nu - 1, two diagonals
+    # above: outside a band with one upper diagonal
+    nu = 8
+    dense = np.zeros((nu + 6, nu + 6))
+    dense[nu + 3, nu + 1] = 1.0
+    with pytest.raises(ValueError, match="wider below"):
+        fold_operator(band_from_dense(dense, 2, 1), nu, 2)
+    folded = fold_operator(band_from_dense(dense, 2, 2), nu, 2)
+    assert band_to_dense(folded)[nu - 1, nu + 1] == 1.0
+
+
 def test_fold_chebyshev_tail_reflects_indices():
     nu = 6
     grid = clenshaw_curtis_points(nu)
@@ -661,6 +673,8 @@ def test_closed_form_band_matches_dense_operator_and_fold(case):
         aliased[k] += exact[2 * (nu + 1) - k, : nu + 2]
     folded = fold_operator(b, nu, d)
     assert folded.data.dtype == b.data.dtype
+    # the fold keeps the band's half-widths: it lands inside them
+    assert (folded.lower_bw, folded.upper_bw) == (b.lower_bw, b.upper_bw)
     assert np.max(np.abs(band_to_dense(folded) - aliased)) <= 1e-13 * scale
     assert np.array_equal(folded.data, band_from_dense(
         band_to_dense(folded), folded.lower_bw, folded.upper_bw).data)

@@ -399,12 +399,14 @@ def test_engine_works_in_the_field_of_the_system(s):
 
 
 #: Traced peak, in bytes, of the Bessel engine build at nu 8192, s 0.  The
-#: engine keeps 7.28 MB (operator 2.49, LU factors 3.28, condition rows,
-#: correction basis, grid) and the build peaks at 8.62 MB, in the border's
-#: pseudo-inverse, when its grid and endpoint tables are new (8.21 when
-#: they are cached).  This leaves 0.38 MB above that, so a copy of the band
-#: in the factorization (3.28 MB, at 6.25 MB live), unfolded blocks held
-#: past their fold, or a kept interior band (2.23 MB), fail.
+#: engine keeps 7.01 MB (operator 2.23, LU factors 3.28, condition rows,
+#: correction basis, grid) and the build peaks at 8.34 MB, in the border's
+#: pseudo-inverse, when its grid and endpoint tables are new (7.94 when
+#: they are cached).  This leaves 0.66 MB above that, so a copy of the band
+#: in the factorization (3.28 MB), unfolded blocks held past the interleave
+#: or the unfolded band past the fold (2.1 and 2.2 MB), or a kept interior
+#: band (2.23 MB), fail.  A temporary inside the interior copy comes before
+#: the peak; ``test_the_interior_copy_allocates_only_its_band`` bounds it.
 ENGINE_PEAK_BYTES = 9_000_000
 
 
@@ -417,6 +419,21 @@ def test_engine_build_peak_memory_stays_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak <= ENGINE_PEAK_BYTES
+
+
+def test_the_interior_copy_allocates_only_its_band():
+    # the build's traced peak (above) comes after the interior band is
+    # copied, so a band-sized temporary made by the copy stays under it;
+    # this bounds the copy on its own, at the same size
+    eng = CollocationEngine(make_bessel(1, 2.0, 3000.0), 8192, 0)
+    tracemalloc.start()
+    try:
+        band = eng.operator.principal_submatrix(2, 2 * 8193, spare_rows=eng.operator.lower_bw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.data.base.shape == (3 * 8 + 1, 2 * 8192)
+    assert peak <= band.data.base.nbytes + 64 * 1024
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -538,8 +555,8 @@ def test_tail_columns_vanish_at_both_endpoints(name, s):
         assert abs(col @ signs) <= bound
 
 
-def folded_block_interiors(sys, nu, s):
-    """Rows and columns 1..nu of each folded operator block, built one by one."""
+def folded_blocks(sys, nu, s):
+    """Each operator block, built and folded one by one."""
     m = sys.dim
     p_mult = [[ONE_MINUS_X2 * sys.r_g[j][i] for j in range(m)] for i in range(m)]
     max_deg = max(max(p.degree for row in p_mult for p in row), sys.r.degree + 2)
@@ -547,26 +564,31 @@ def folded_block_interiors(sys, nu, s):
                                   p_mult[i][j], nu + 2 * s + 6 + max_deg)
             for j in range(m)] for i in range(m)]
     depth = max(b.lower_bw for row in big for b in row) - 1
-    return [[fold_operator(b, nu, depth).principal_submatrix(1, nu + 1) for b in row]
-            for row in big]
+    return [[fold_operator(b, nu, depth) for b in row] for row in big]
+
+
+def folded_block_interiors(sys, nu, s):
+    """Rows and columns 1..nu of each folded operator block, built one by one."""
+    return [[b.principal_submatrix(1, nu + 1) for b in row]
+            for row in folded_blocks(sys, nu, s)]
 
 
 @pytest.mark.parametrize("m,s", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_reordered_band_equals_the_per_block_construction(m, s):
-    # the projected system taken from the one interleaved operator equals,
-    # entry for entry, the interleaving of each folded block's interior in
-    # the engine's equation order, whose diagonals outside the engine's
-    # narrower band are all zero
+    # the engine interleaves the unfolded blocks and folds the band once;
+    # its operator equals, bit for bit and on the same half-widths, the
+    # interleaving of each block folded on its own in the engine's equation
+    # order, and so does its projected system, from the blocks' interiors
     nu = 24
     sys = engine_system(m)
     eng = CollocationEngine(sys, nu, s)
-    wide = reorder_block_banded(folded_block_interiors(sys, nu, s), eng.order)
-    got = eng.interior_band()
-    want = wide.principal_submatrix(0, wide.n, got.lower_bw, got.upper_bw)
-    assert np.count_nonzero(want.data) == np.count_nonzero(wide.data)
-    assert (got.n, got.lower_bw, got.upper_bw) == (want.n, want.lower_bw, want.upper_bw)
-    assert got.data.dtype == want.data.dtype
-    assert np.array_equal(got.data, want.data)
+    for got, want in (
+            (eng.operator, reorder_block_banded(folded_blocks(sys, nu, s), eng.order)),
+            (eng.interior_band(),
+             reorder_block_banded(folded_block_interiors(sys, nu, s), eng.order))):
+        assert (got.n, got.lower_bw, got.upper_bw) == (want.n, want.lower_bw, want.upper_bw)
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("name,order,widths", [
@@ -586,10 +608,12 @@ def test_engine_takes_the_narrowest_equation_order(name, order, widths):
     eng = CollocationEngine(sys, 24, 1)
     assert eng.order == order
     assert (eng.lu.kl, eng.lu.ku) == widths
-    band = eng.interior_band()
-    assert (band.lower_bw, band.upper_bw) == widths
-    # the outermost diagonals hold entries: the band is no wider than they are
-    assert band.data[0].any() and band.data[-1].any()
+    # the kept operator is on the same half-widths as the interior band and
+    # its LU, and the outermost diagonals of both hold entries: neither band
+    # is wider than they are
+    for band in (eng.interior_band(), eng.operator):
+        assert (band.lower_bw, band.upper_bw) == widths
+        assert band.data[0].any() and band.data[-1].any()
 
 
 @pytest.mark.parametrize("s", [0, 1])
