@@ -10,12 +10,17 @@ differences anywhere:
 * ``rational_runge`` -- f = x / (x^2 + 0.02) in the first component
 * ``manufactured:<n>`` -- f = L_omega(e_1 T_n), which makes the exact
   quadrature value available in closed form from the weight endpoints.
+  Its samples go through the monomial coefficients of T_n, which lose
+  accuracy fast with n: 8e-13 relative at n = 12, 1e-4 at 34 and 1e-2 at
+  n = 40 (see ``MAX_MANUFACTURED_INDEX``).
 
 For systems with more than one component the named scalar amplitudes sit
 in the first component and the rest are zero.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,8 +30,11 @@ from .oscillator import AmplitudeSpec, OscillatorSystem
 #: Depth of the endpoint-derivative tables built for registry amplitudes.
 MAX_DERIVATIVE_ORDER = 6
 
-#: Largest manufactured basis index (monomial conversion stays well
-#: conditioned in double precision well past this).
+#: Largest manufactured basis index.  The samples are evaluated through the
+#: monomial coefficients of T_n, whose conversion is ill conditioned: on I1
+#: (omega 500, 2001 Chebyshev points) their relative error is 8e-13 at
+#: n = 12, 8e-10 at 20, 5e-7 at 28, 1e-4 at 34 and 1e-2 at 40.  The two
+#: registry cases of ``benchmarks/defects.py``, n = 34 and 40, come from it.
 MAX_MANUFACTURED_INDEX = 40
 
 
@@ -60,8 +68,9 @@ def rational_amplitude(num: Polynomial, den: Polynomial, dim: int,
                          deriv_plus=dp, deriv_minus=dm, name=name)
 
 
+@functools.lru_cache(maxsize=MAX_MANUFACTURED_INDEX + 1)
 def chebyshev_t_polynomial(n: int) -> Polynomial:
-    """T_n in the monomial basis."""
+    """T_n in the monomial basis: one object per n, shared, with read-only coefficients."""
     e = np.zeros(n + 1)
     e[n] = 1.0
     return Polynomial(np.polynomial.chebyshev.cheb2poly(e))

@@ -12,6 +12,7 @@ back to the dense reference path.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import scipy.linalg
 from scipy.linalg import LinAlgWarning, lapack
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .chebyshev import BandedMatrix
+from .chebyshev import PLAN_CACHE_SIZE, BandedMatrix
 
 
 def lu_factor_quiet(a):
@@ -189,9 +190,11 @@ def interleaved_halfwidths(widths, order, upper=None) -> tuple[int, int]:
     return kl, ku
 
 
-def narrowest_equation_order(widths) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def narrowest_equation_order(widths: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """An order of the M equations in each interleaved row group that keeps
-    the band narrow, from the blocks' half-widths alone (O(M^2) work).
+    the band narrow, from the blocks' half-widths alone (O(M^2) work, once
+    per M x M tuple of half-widths).
 
     Each equation goes beside the unknown of its widest block (the first
     such unknown, ties kept in equation order).  That order is taken when

@@ -18,6 +18,7 @@ to be treated as immutable.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -334,18 +335,20 @@ class BandedMatrix:
         """The same matrix as a ``scipy.sparse`` DIA array that shares ``data``:
         row ``upper_bw - k`` of the band is diagonal k (entry (i, i + k)), and
         DIA storage is indexed by column, as the band is.  Its product adds the
-        diagonals in turn, from k = upper_bw down to -lower_bw."""
-        return scipy.sparse.dia_array(
-            (self.data, np.arange(self.upper_bw, -self.lower_bw - 1, -1)),
-            shape=(self.n, self.n))
+        diagonals in turn, from k = upper_bw down to -lower_bw.  It is a
+        shallow copy of :func:`_dia_template` given this band as its data, so
+        scipy validates the offsets once per shape, not once per view."""
+        view = copy.copy(_dia_template(self.n, self.lower_bw, self.upper_bw))
+        view.data = self.data
+        return view
 
-    def column(self, j: int) -> np.ndarray:
-        """Dense copy of column j (length n)."""
-        col = np.zeros(self.n, dtype=self.data.dtype)
-        i0 = max(0, j - self.upper_bw)
-        i1 = min(self.n, j + self.lower_bw + 1)
-        col[i0:i1] = self.data[self.upper_bw + i0 - j : self.upper_bw + i1 - j, j]
-        return col
+    def columns(self, js: tuple[int, ...]) -> np.ndarray:
+        """Dense copies of columns ``js``, as the rows of a (len(js), n) array,
+        gathered in one step through the index :func:`_column_slots` keeps."""
+        which, rows, slots, cols = _column_slots(self.n, self.lower_bw, self.upper_bw, js)
+        out = np.zeros((len(js), self.n), dtype=self.data.dtype)
+        out[which, rows] = self.data[slots, cols]
+        return out
 
     def principal_submatrix(self, lo: int, hi: int, spare_rows: int = 0) -> "BandedMatrix":
         """Rows and columns lo..hi-1 as a new banded matrix on this one's
@@ -362,11 +365,59 @@ class BandedMatrix:
                          order="F" if spare_rows else "C")
         data = store[spare_rows:]
         data[...] = self.data[:, lo:hi]
-        for k in range(1, ku + 1):  # zero the slots of rows outside [0, n)
-            data[ku - k, : min(k, n)] = 0
-        for k in range(1, kl + 1):
-            data[ku + k, max(n - k, 0) :] = 0
+        data[_outside_slots(n, kl, ku)] = 0
         return BandedMatrix(n, kl, ku, data=data, dtype=self.data.dtype)
+
+
+# Shape-only index plans.  Each depends on sizes alone, never on a band's
+# values; its arrays are read-only, and none grows with nu.
+
+#: Entries each plan cache keeps.  Calls over five nu and three system
+#: families meet at most 15 keys of any one plan cache, so all stay warm.
+PLAN_CACHE_SIZE = 32
+
+
+def _read_only(*arrays) -> tuple[np.ndarray, ...]:
+    """``arrays``, each flagged read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _column_slots(n: int, kl: int, ku: int, js: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(which, rows, slots, cols): entry (rows, cols) of an n-column band on
+    half-widths (kl, ku) sits at slot (slots, cols), and is entry ``rows`` of
+    dense column js[which]."""
+    cols = np.array(js, dtype=np.intp)
+    rows = cols[:, None] + np.arange(-ku, kl + 1)
+    which, slots = np.nonzero((rows >= 0) & (rows < n))
+    return _read_only(which, rows[which, slots], slots, cols[which])
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _dia_template(n: int, kl: int, ku: int) -> scipy.sparse.dia_array:
+    """An n x n DIA array on the offsets ku .. -kl of a band on (kl, ku),
+    holding no data; both its arrays are read-only."""
+    template = scipy.sparse.dia_array(
+        (np.zeros((kl + ku + 1, 0)), np.arange(ku, -kl - 1, -1)), shape=(n, n))
+    _read_only(template.data, template.offsets)
+    return template
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _outside_slots(n: int, kl: int, ku: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, cols) of the band slots of an n-column band on (kl, ku) that
+    address rows outside [0, n): slot ku - d of the first min(d, n) columns
+    and slot ku + d of the last, d = 1..ku and 1..kl."""
+    slots, cols = [], []
+    for d in range(1, ku + 1):
+        slots += [ku - d] * min(d, n)
+        cols += range(min(d, n))
+    for d in range(1, kl + 1):
+        slots += [ku + d] * min(d, n)
+        cols += range(max(n - d, 0), n)
+    return _read_only(np.array(slots, dtype=np.intp), np.array(cols, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +442,17 @@ def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
         h[1:-1] = 0.5 * (h[:-2] + h[2:])
         h[w + 1] += a_k
     return h[1:-1]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _reflection_slots(w: int) -> tuple[np.ndarray, ...]:
+    """(below, above, cols): slot ``below`` of column ``cols`` (a row below
+    0, for the first w columns of an operator of half-width w) folds onto
+    slot ``above``, its mirror row; slot 2 w - below of column -1 - cols is
+    a row past the last, as seen from the end."""
+    n, j = np.nonzero(np.arange(w)[:, None] <= np.arange(w))
+    below = w - 1 - j
+    return _read_only(below, below + 2 * (j - n + 1), n)
 
 
 def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
@@ -419,15 +481,35 @@ def build_banded_operator(rho: Polynomial, p_mult: Polynomial,
     data = np.empty((2 * w + 1, n_rows), dtype=np.result_type(h_rho, h_p))
     np.multiply((h_rho[2:] - h_rho[:-2])[:, None], np.arange(n_rows) / 2.0, out=data)
     data += h_p[:, None]
-    # Row -t of column n < w (slot w - t - n, t <= w - n, j = n + t - 1 < w)
-    # folds onto row t; it and row n_rows - 1 + t of column n_rows - 1 - n
-    # are the slots for rows outside the matrix, then zeroed.
-    n, j = np.nonzero(np.arange(w)[:, None] <= np.arange(w))
-    below = w - 1 - j
-    data[below + 2 * (j - n + 1), n] += data[below, n]
+    # Row -t of column n < w (slot w - t - n, t <= w - n) folds onto row t;
+    # it and row n_rows - 1 + t of column n_rows - 1 - n are the slots for
+    # rows outside the matrix, then zeroed.
+    below, above, n = _reflection_slots(w)
+    data[above, n] += data[below, n]
     data[below, n] = 0
-    data[2 * w - below, n_rows - 1 - n] = 0
+    data[2 * w - below, -1 - n] = 0
     return BandedMatrix(n_rows, w, w, data=data, dtype=data.dtype)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _fold_slots(nu: int, d: int, m: int, kl: int, ku: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The index plan of :func:`fold_operator`: (slots, cols) of every slot
+    of the last columns that addresses a row r = m (nu+1+l) + a at or past
+    n = m (nu + 2); (slots, cols) of those with l <= d + 1 whose reflection
+    would leave the band; and (to, slots, cols) of those folded onto slot
+    ``to``, row r - 2 m l."""
+    n = m * (nu + 2)
+    cols = np.arange(max(0, n - kl), n)
+    r, c = np.nonzero(np.arange(n, n + kl)[:, None] <= cols + kl)
+    r += n
+    c = cols[c]
+    slot = ku + r - c
+    to = slot - 2 * m * (r // m - nu - 1)
+    folds = r < m * (nu + d + 3)
+    outside = folds & (to < 0)
+    folds &= to >= 0
+    return (_read_only(slot, c), _read_only(slot[outside], c[outside]),
+            _read_only(to[folds], slot[folds], c[folds]))
 
 
 def fold_operator(b: BandedMatrix, nu: int, d: int, stride: int = 1) -> BandedMatrix:
@@ -453,18 +535,11 @@ def fold_operator(b: BandedMatrix, nu: int, d: int, stride: int = 1) -> BandedMa
     data = b.data[:, :n].copy()
     # Slot ku + r - c of column c is row r = m (nu+1+l) + a >= n, folded onto
     # slot ku + r - 2 m l - c for l <= d + 1; then all are zeroed.
-    cols = np.arange(max(0, n - kl), n)
-    r, c = np.nonzero(np.arange(n, n + kl)[:, None] <= cols + kl)
-    r += n
-    c = cols[c]
-    slot = ku + r - c
-    to = slot - 2 * m * (r // m - nu - 1)
-    folds = r < m * (nu + d + 3)
-    if data[slot[folds & (to < 0)], c[folds & (to < 0)]].any():
+    past, outside, (to, slots, cols) = _fold_slots(nu, d, m, kl, ku)
+    if data[outside].any():
         raise ValueError("a block of the operator is wider below the diagonal than above")
-    folds &= to >= 0
-    data[to[folds], c[folds]] += data[slot[folds], c[folds]]
-    data[slot, c] = 0
+    data[to, cols] += data[slots, cols]
+    data[past] = 0
     return BandedMatrix(n, kl, ku, data=data, dtype=data.dtype)
 
 

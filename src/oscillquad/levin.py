@@ -46,10 +46,31 @@ about 0.9 KB per unit of nu, which ``MAX_NU`` bounds.  The build
 interleaves the unfolded blocks into one band on exact half-widths, which
 the fold, the interior band and its LU keep, folds that band once, and
 writes the interior band and the right-hand sides once, in the layout
-gbtrf and gbtrs read.  The grid and the endpoint tables of T_n, which
-depend on nu and s alone, are kept for the last eight sizes.  Each build
-is logged at DEBUG level.  All entry points are pure functions of their
-problem; a shared engine is read-only.
+gbtrf and gbtrs read.  Each build is logged at DEBUG level.  All entry
+points are pure functions of their problem; a shared engine is read-only.
+
+Besides that slot, the library keeps only values that depend on a
+problem's shape (nu, s, M, block half-widths), each computed once in a
+bounded ``functools.lru_cache`` and read-only (arrays flagged so, tuples,
+a shared ``Polynomial``), so that a build runs only the arithmetic on its
+system's coefficients:
+
+* ``chebyshev.clenshaw_curtis_points``, key nu, 8 entries: the grid,
+  2 (nu + 2) floats (about 17 MB near ``MAX_NU``).
+* ``_endpoint_tables``, key (nu + 2s + 1, s + 1), 8 entries: T_n^(l)(+-1),
+  2 (s + 2) (nu + 2s + 2) floats (about 50 MB at s = 1 near ``MAX_NU``).
+* ``amplitudes.chebyshev_t_polynomial``, key n, 41 entries: T_n in the
+  monomial basis.
+* ``chebyshev.PLAN_CACHE_SIZE`` (32) entries each, none growing with nu:
+  ``banded.narrowest_equation_order`` (key: the M x M block half-widths;
+  the equation order), ``chebyshev._reflection_slots`` (w; a block's
+  reflected slots, O(w^2) indices), ``chebyshev._fold_slots`` (nu, d, M,
+  kl, ku; the fold's slots, O(kl^2)), ``chebyshev._outside_slots`` (n, kl,
+  ku; the slots of rows outside a band, O(kl^2 + ku^2)),
+  ``chebyshev._column_slots`` (n, kl, ku, columns; a gather of K columns,
+  O(K (kl + ku))), ``chebyshev._dia_template`` (n, kl, ku; a DIA array on
+  the band's offsets with no data) and ``_correction_units`` (M, nu, s;
+  the 2M (s + 1) unit entries of the correction basis).
 """
 
 from __future__ import annotations
@@ -74,6 +95,7 @@ from .banded import (
 )
 from .chebyshev import (
     ONE_MINUS_X2,
+    PLAN_CACHE_SIZE,
     BandedMatrix,
     Polynomial,
     UnsupportedRegimeError,
@@ -232,7 +254,7 @@ class CollocationEngine:
              for j in range(m)]
             for i in range(m)
         ]
-        widths = [[b.lower_bw for b in row] for row in blocks]  # as wide above
+        widths = tuple(tuple(b.lower_bw for b in row) for row in blocks)  # as wide above
         n_all = nu + 2 * s + 2
         # The blocks interleaved into one band (row M*n + a of column M*n' + j
         # is entry (n, n') of block (order[a], j)), the M equations of each
@@ -243,16 +265,18 @@ class CollocationEngine:
         # For s >= 1, the tail columns: the scaled operator applied to each tail
         # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid, with
         # its equations in band order.
-        tail = [(k, n) for k in range(m) for n in range(nu + 2, n_all)]
-        cols = [band.column(m * n + k).reshape(n_build, m).T for k, n in tail]
-        self.tail_ops = (fold_chebyshev_tail(np.array(cols), nu) if s
-                         else np.zeros((0, m, nu + 2), dtype=self.dtype))
+        unit_slots, unit_cols = _correction_units(m, nu, s)
+        n_tail = 2 * m * s
+        if s:
+            tail_cols = band.columns(unit_cols[2 * m :]).reshape(n_tail, n_build, m)
+            self.tail_ops = fold_chebyshev_tail(tail_cols.transpose(0, 2, 1), nu)
+        else:
+            self.tail_ops = np.zeros((0, m, nu + 2), dtype=self.dtype)
         # The band folded onto the grid, on its own half-widths; its interior
         # rows and columns n = 1..nu are the projected system.
-        self.operator = fold_operator(band, nu, max(max(row) for row in widths) - 1, stride=m)
+        self.operator = fold_operator(band, nu, max(map(max, widths)) - 1, stride=m)
         del band
-        # The residual's product, a view of the band (its construction costs
-        # more than a small call's transform)
+        # The residual's product, a view of the band
         self.operator_dia = self.operator.as_dia()
         # The interior, copied once into the array that gbtrf factors in place.
         self.lu = banded_lu_factor(self.operator.principal_submatrix(
@@ -288,18 +312,17 @@ class CollocationEngine:
         # the operator on it), from one multi-column banded solve.  The
         # right-hand sides are the C-ordered (K, nu, M) array that is the
         # Fortran-ordered (M nu, K) matrix gbtrs reads, in the band's order.
-        units = [(k, end) for k in range(m) for end in (0, nu + 1)] + tail
-        rhs = np.empty((len(units), nu, m), dtype=self.dtype)
-        for col, (k, end) in enumerate(units[: 2 * m]):
-            rhs[col] = self.operator.column(m * end + k)[m : m * (nu + 1)].reshape(nu, m)
+        n_units = len(unit_cols)
+        rhs = np.empty((n_units, nu, m), dtype=self.dtype)
+        rhs[: 2 * m] = self.operator.columns(unit_cols[: 2 * m])[:, m : m * (nu + 1)].reshape(
+            2 * m, nu, m)
         rhs[2 * m :] = self.tail_ops[:, :, 1 : nu + 1].transpose(0, 2, 1)
         np.negative(rhs, out=rhs)
-        x = banded_solve(self.lu, rhs.reshape(len(units), nu * m).T)
-        basis = np.zeros((len(units), m, n_all), dtype=x.dtype)
-        basis[:, :, 1 : nu + 1] = x.reshape(nu, m, len(units)).transpose(2, 1, 0)
-        for col, (k, n) in enumerate(units):
-            basis[col, k, n] = 1.0
-        self.basis = basis.reshape(len(units), m * n_all)
+        x = banded_solve(self.lu, rhs.reshape(n_units, nu * m).T)
+        basis = np.zeros((n_units, m, n_all), dtype=x.dtype)
+        basis[:, :, 1 : nu + 1] = x.reshape(nu, m, n_units).transpose(2, 1, 0)
+        basis[unit_slots] = 1.0
+        self.basis = basis.reshape(n_units, m * n_all)
         del rhs, x  # the build's peak comes later
 
         # A call solves C w = targets - rows head for the weights of the
@@ -324,7 +347,7 @@ class CollocationEngine:
         end_fix = pinv @ cond[: 2 * m, 2 * m :]
         try:
             s_inv = dense_solve(cond[2 * m :, 2 * m :] - cond[2 * m :, : 2 * m] @ end_fix,
-                                np.eye(len(tail)))
+                                np.eye(n_tail))
         except SingularMatrixError as exc:
             self.tail_singular = exc
             self.weights = None
@@ -463,12 +486,13 @@ def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
     a second: 8 log2(n) u sqrt(n) ||z||_2, n = 2(nu+1) the FFT length, u
     the unit roundoff (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 24).  Measured round trips stay under a
-    twentieth of it for nu from 2 to 32768.  The norm is BLAS nrm2, which
-    scales as it sums, so that no square underflows (a tiny amplitude) or
-    overflows."""
+    twentieth of it for nu from 2 to 32768.  The norm is BLAS nrm2, called
+    as ``scipy.linalg.norm`` calls it for a vector; it scales as it sums, so
+    that no square underflows (a tiny amplitude) or overflows."""
     n = 2 * (z.shape[-1] - 1)
     u = np.finfo(np.float64).eps / 2
-    norm = np.array([scipy.linalg.norm(row, check_finite=False) for row in z])
+    nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=z.dtype, ilp64="preferred")
+    norm = np.array([nrm2(row) for row in z])
     return 8 * math.log2(n) * u * math.sqrt(n) * norm
 
 
@@ -513,6 +537,22 @@ def _forget_engine() -> None:
     """Empty the engine slot, so that the next fast solve builds its engine."""
     global _engine_slot
     _engine_slot = None
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _correction_units(m: int, nu: int, s: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """The units of the correction basis: the 2M endpoint unknowns (k, end),
+    end = 0 and nu + 1, then the 2Ms tail elements (k, n), n = nu+2 ..
+    nu+2s+1, in that order.  Returns the (unit, k, n) slots of their unit
+    entries in the (units, M, nu+2s+2) basis, read-only, and the band column
+    M n + k of each."""
+    units = ([(k, end) for k in range(m) for end in (0, nu + 1)]
+             + [(k, n) for k in range(m) for n in range(nu + 2, nu + 2 * s + 2)])
+    slots = (np.arange(len(units)), np.array([k for k, _ in units]),
+             np.array([n for _, n in units]))
+    for a in slots:
+        a.setflags(write=False)
+    return slots, tuple(m * n + k for k, n in units)
 
 
 @functools.lru_cache(maxsize=8)

@@ -319,14 +319,14 @@ def test_reorder_in_an_equation_order_permutes_the_rows_only(order):
 
 
 def test_narrowest_equation_order_from_the_block_half_widths():
-    bessel = [[3, 4], [4, 3]]
+    bessel = ((3, 4), (4, 3))
     assert interleaved_halfwidths(bessel, (0, 1)) == (9, 9)
     assert interleaved_halfwidths(bessel, (1, 0)) == (8, 8)
     assert narrowest_equation_order(bessel) == (1, 0)
-    assert narrowest_equation_order([[3]]) == (0,)
-    assert narrowest_equation_order([[3, 0, 0], [0, 3, 0], [0, 0, 3]]) == (0, 1, 2)
+    assert narrowest_equation_order(((3,),)) == (0,)
+    assert narrowest_equation_order(((3, 0, 0), (0, 3, 0), (0, 0, 3))) == (0, 1, 2)
     # equation 0 is widest against unknown 2, equation 2 against unknown 0
-    cyclic = [[1, 1, 4], [1, 4, 1], [4, 1, 1]]
+    cyclic = ((1, 1, 4), (1, 4, 1), (4, 1, 1))
     assert narrowest_equation_order(cyclic) == (2, 1, 0)
     assert interleaved_halfwidths(cyclic, (2, 1, 0)) == (12, 12)
     assert interleaved_halfwidths(cyclic, (0, 1, 2)) == (14, 14)
@@ -337,7 +337,7 @@ def test_narrowest_equation_order_from_the_block_half_widths():
     st.lists(st.integers(0, 5), min_size=m, max_size=m), min_size=m, max_size=m)))
 def test_the_chosen_equation_order_is_never_wider_than_the_identity(widths):
     m = len(widths)
-    order = narrowest_equation_order(widths)
+    order = narrowest_equation_order(tuple(map(tuple, widths)))
     assert sorted(order) == list(range(m))
     assert sum(interleaved_halfwidths(widths, order)) <= sum(
         interleaved_halfwidths(widths, tuple(range(m))))

@@ -395,14 +395,14 @@ def test_mult_x_leading_block():
 
 
 def test_mult_x_column_zero_is_t1():
-    col = mult_x(6).column(0)
+    col = mult_x(6).columns((0,))[0]
     expected = np.zeros(6)
     expected[1] = 1.0
     assert np.allclose(col, expected)
 
 
 def test_mult_x_column_five():
-    col = mult_x(8).column(5)
+    col = mult_x(8).columns((5,))[0]
     expected = np.zeros(8)
     expected[4] = expected[6] = 0.5
     assert np.allclose(col, expected)
@@ -417,14 +417,14 @@ def test_weighted_diff_leading_entries():
 
 
 def test_weighted_diff_column_zero_is_zero():
-    assert np.allclose(weighted_diff(6).column(0), 0.0)
+    assert np.allclose(weighted_diff(6).columns((0,))[0], 0.0)
 
 
 def test_weighted_diff_column_action_pointwise():
     # column 10 evaluated as a Chebyshev series must equal (1-x^2) T_10'(x)
     n = 10
     d = weighted_diff(16)
-    col = d.column(n)
+    col = d.columns((n,))[0]
     x = 0.3
     expected = (1 - x * x) * eval_monomial(monomial_derivative(chebyshev_monomial(n)), x)
     assert chebval(x, col) == pytest.approx(expected, abs=1e-12)
@@ -462,7 +462,7 @@ def test_build_random_operator_column_action():
     b = build_banded_operator(Polynomial([1.0]), p_mult, 24)
     xs = rng.uniform(-0.99, 0.99, size=12)
     for n in (0, 1, 5, 13):
-        got = chebval(xs, b.column(n))
+        got = chebval(xs, b.columns((n,))[0])
         expected = operator_on_tn_pointwise(ONE_MINUS_X2, p_mult, n, xs)
         assert np.max(np.abs(got - expected)) <= 1e-11
 
@@ -483,7 +483,7 @@ def test_operator_columns_against_pointwise_large():
     xs = rng.uniform(-1, 1, size=20)
     theta = np.arccos(xs)
     for n in range(0, 61, 6):
-        got = chebval(xs, b.column(n))
+        got = chebval(xs, b.columns((n,))[0])
         tn = np.cos(n * theta)
         tnp = n * np.sin(n * theta) / np.sin(theta)
         expected = ONE_MINUS_X2(xs) * tnp + p_mult(xs) * tn
@@ -540,7 +540,7 @@ def test_fold_matches_direct_operator_collocation():
     b = build_banded_operator(Polynomial([1.0]), p_mult, nu + 10)
     folded = fold_operator(b, nu, b.lower_bw - 1)
     for n in range(nu + 2):
-        lhs = apply_collocation_matrix(folded.column(n), grid)
+        lhs = apply_collocation_matrix(folded.columns((n,))[0], grid)
         rhs = operator_on_tn_pointwise(ONE_MINUS_X2, p_mult, n, grid.points)
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * w, n
 
@@ -686,7 +686,7 @@ def test_closed_form_band_matches_dense_operator_and_fold(case):
 
 def test_banded_matrix_layout_and_dense_agreement():
     # entry (i, j) is stored at data[upper_bw + i - j, j], where the dense
-    # reference and column() both read it
+    # reference and columns() both read it
     rng = np.random.default_rng(0)
     a = BandedMatrix(7, 2, 1)
     entries = {}
@@ -699,8 +699,7 @@ def test_banded_matrix_layout_and_dense_agreement():
     for i in range(7):
         for j in range(7):
             assert dense[i, j] == entries.get((i, j), 0.0)
-    for j in range(7):
-        assert np.array_equal(a.column(j), dense[:, j])
+    assert np.array_equal(a.columns(tuple(range(7))), dense.T)
 
 
 def test_banded_matvec_matches_dense():
@@ -764,8 +763,8 @@ def banded_and_range(draw):
 def test_column_and_principal_submatrix_match_dense_slices(case):
     a, lo, hi = case
     dense = band_to_dense(a)
-    for j in range(a.n):
-        assert np.array_equal(a.column(j), dense[:, j])
+    assert np.array_equal(a.columns(tuple(range(a.n))), dense.T)
+    assert np.array_equal(a.columns((a.n - 1, 0)), dense[:, [a.n - 1, 0]].T)
     sub = a.principal_submatrix(lo, hi)
     assert (sub.n, sub.lower_bw, sub.upper_bw) == (hi - lo, a.lower_bw, a.upper_bw)
     assert np.array_equal(band_to_dense(sub), dense[lo:hi, lo:hi])

@@ -99,3 +99,45 @@ def test_the_import_check_sees_a_leftover_import():
                      "import scipy.fft\n"
                      "x = dense_solve(1, 2) + scipy.fft.dct(3)\n")
     assert unused_imports(tree) == ["hockney_permutation"]
+
+
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Functions under a ``functools`` cache that states no finite bound:
+    ``cache``, or ``lru_cache`` without a ``maxsize`` or with ``None``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name not in ("cache", "lru_cache"):
+                continue
+            sizes = ([*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")]
+                     if call and name == "lru_cache" else [])
+            if not sizes or any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(node.name)
+    return found
+
+
+def test_every_library_cache_is_bounded():
+    # a cache keyed by problem shape must not grow with the shapes a
+    # process meets
+    unbounded = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in unbounded_caches(ast.parse(module.read_text()))
+    ]
+    assert not unbounded, f"caches without a finite maxsize: {unbounded}"
+
+
+def test_the_cache_check_sees_an_unbounded_cache():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=8)\ndef a(n): return n\n"
+                     "@lru_cache(SIZE + 1)\ndef b(n): return n\n"
+                     "@functools.lru_cache(maxsize=None)\ndef c(n): return n\n"
+                     "@lru_cache\ndef d(n): return n\n"
+                     "@cache\ndef e(n): return n\n"
+                     "@functools.lru_cache(None)\ndef f(n): return n\n")
+    assert unbounded_caches(tree) == ["c", "d", "e", "f"]
