@@ -143,14 +143,14 @@ def _gbtrs(lu: BandedLU, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def reorder_block_banded(blocks, order=None) -> BandedMatrix:
+def reorder_block_banded(blocks) -> BandedMatrix:
     """Interleave an M x M grid of banded blocks into one banded matrix.
 
     ``blocks`` is an M x M nested sequence of equally sized square
     :class:`BandedMatrix` blocks.  Row M*l1 + a, column M*l2 + b of the
-    result holds entry (l1, l2) of block (order[a], b): unknowns interleave
-    in their own order, and each row group holds the M equations in
-    ``order`` (default the identity, Hockney order), on the half-widths
+    result holds entry (l1, l2) of block (a, b): unknowns and equations
+    interleave in the grid's own order (Hockney order; a caller that wants
+    another equation order passes the block rows in it), on the half-widths
     :func:`interleaved_halfwidths` gives, in the blocks' common dtype.  For
     M = 1 the one block is returned as it is.
     """
@@ -159,30 +159,28 @@ def reorder_block_banded(blocks, order=None) -> BandedMatrix:
         raise ValueError("blocks must form an M x M grid")
     if m == 1:
         return blocks[0][0]
-    order = range(m) if order is None else order
-    if sorted(order) != list(range(m)):
-        raise ValueError("order must be a permutation of the block rows")
     nub = blocks[0][0].n
     if any(blk.n != nub for row in blocks for blk in row):
         raise ValueError("inconsistent block sizes")
-    kl, ku = interleaved_halfwidths([[blk.lower_bw for blk in row] for row in blocks], order,
+    kl, ku = interleaved_halfwidths([[blk.lower_bw for blk in row] for row in blocks], range(m),
                                     [[blk.upper_bw for blk in row] for row in blocks])
     dtype = np.result_type(*(blk.data for row in blocks for blk in row))
     out = BandedMatrix(m * nub, kl, ku, dtype=dtype)
     for a, b in np.ndindex(m, m):
-        # Diagonal off of block (order[a], b) is diagonal M off + b - a of the
+        # Diagonal off of block (a, b) is diagonal M off + b - a of the
         # result, on columns b, b + M, ...; its zero slots land on zero slots.
-        blk = blocks[order[a]][b]
+        blk = blocks[a][b]
         top = ku + a - b - m * blk.upper_bw
         out.data[top : top + m * (blk.upper_bw + blk.lower_bw) + 1 : m, b::m] = blk.data
     return out
 
 
 def interleaved_halfwidths(widths, order, upper=None) -> tuple[int, int]:
-    """(kl, ku) of M x M blocks interleaved as :func:`reorder_block_banded`
-    does with ``order``, block (i, j) of half-width ``widths[i][j]`` below
-    the diagonal and ``upper[i][j]`` (default the same) above: block
-    (order[a], j) spans diagonals -M w + j - a to M u + j - a."""
+    """(kl, ku) of M x M blocks interleaved by :func:`reorder_block_banded`
+    with block row order[a] in row group a, block (i, j) of half-width
+    ``widths[i][j]`` below the diagonal and ``upper[i][j]`` (default the
+    same) above: block (order[a], j) spans diagonals -M w + j - a to
+    M u + j - a."""
     m = len(order)
     upper = widths if upper is None else upper
     kl = max(m * widths[i][j] + a - j for a, i in enumerate(order) for j in range(m))

@@ -193,10 +193,6 @@ class ClenshawCurtisGrid:
     points: np.ndarray
     sin2: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.nu + 2
-
 
 @functools.lru_cache(maxsize=8)
 def clenshaw_curtis_points(nu: int) -> ClenshawCurtisGrid:
@@ -262,7 +258,7 @@ def real_if_zero_imag(a) -> np.ndarray:
     return a.real.astype(np.float64, copy=False)
 
 
-def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None) -> np.ndarray:
+def apply_collocation_matrix(alpha) -> np.ndarray:
     """Values at the grid of the Chebyshev series with coefficients ``alpha``.
 
     Computes C @ alpha with C[m, k] = T_k(c_m) = cos(m k pi/(nu+1)) via a
@@ -273,11 +269,6 @@ def apply_collocation_matrix(alpha, grid: ClenshawCurtisGrid | None = None) -> n
     alpha = real_if_zero_imag(alpha)
     if alpha.shape[0] < 3:
         raise ValueError("DCT-I needs at least 3 samples")
-    if grid is not None and alpha.shape[0] != grid.n_points:
-        raise ValueError(
-            f"coefficient vector of length {alpha.shape[0]} does not match "
-            f"grid with {grid.n_points} points"
-        )
     xt = alpha.copy()
     xt[0] *= 2.0
     xt[-1] *= 2.0
@@ -343,11 +334,14 @@ class BandedMatrix:
         return view
 
     def columns(self, js: tuple[int, ...]) -> np.ndarray:
-        """Dense copies of columns ``js``, as the rows of a (len(js), n) array,
-        gathered in one step through the index :func:`_column_slots` keeps."""
-        which, rows, slots, cols = _column_slots(self.n, self.lower_bw, self.upper_bw, js)
-        out = np.zeros((len(js), self.n), dtype=self.data.dtype)
-        out[which, rows] = self.data[slots, cols]
+        """Dense copies of columns ``js``, as the rows of a (len(js), n) array:
+        column j is the band column ``data[:, j]``, rows j - upper_bw ..
+        j + lower_bw, clipped to [0, n)."""
+        ku, n = self.upper_bw, self.n
+        out = np.zeros((len(js), n), dtype=self.data.dtype)
+        for row, j in zip(out, js):
+            lo, hi = max(j - ku, 0), min(j + self.lower_bw + 1, n)
+            row[lo:hi] = self.data[ku + lo - j : ku + hi - j, j]
         return out
 
     def principal_submatrix(self, lo: int, hi: int, spare_rows: int = 0) -> "BandedMatrix":
@@ -382,17 +376,6 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _column_slots(n: int, kl: int, ku: int, js: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(which, rows, slots, cols): entry (rows, cols) of an n-column band on
-    half-widths (kl, ku) sits at slot (slots, cols), and is entry ``rows`` of
-    dense column js[which]."""
-    cols = np.array(js, dtype=np.intp)
-    rows = cols[:, None] + np.arange(-ku, kl + 1)
-    which, slots = np.nonzero((rows >= 0) & (rows < n))
-    return _read_only(which, rows[which, slots], slots, cols[which])
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -321,7 +321,11 @@ def main(argv=None) -> int:
     header = command.header
     if header is None:
         header, *rows = rows
-    _write_csv(args.out, header, rows)
+    try:
+        _write_csv(args.out, header, rows)
+    except OSError as exc:
+        print(f"oscillquad: config error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return 0
 
 

@@ -51,26 +51,9 @@ points are pure functions of their problem; a shared engine is read-only.
 
 Besides that slot, the library keeps only values that depend on a
 problem's shape (nu, s, M, block half-widths), each computed once in a
-bounded ``functools.lru_cache`` and read-only (arrays flagged so, tuples,
-a shared ``Polynomial``), so that a build runs only the arithmetic on its
-system's coefficients:
-
-* ``chebyshev.clenshaw_curtis_points``, key nu, 8 entries: the grid,
-  2 (nu + 2) floats (about 17 MB near ``MAX_NU``).
-* ``_endpoint_tables``, key (nu + 2s + 1, s + 1), 8 entries: T_n^(l)(+-1),
-  2 (s + 2) (nu + 2s + 2) floats (about 50 MB at s = 1 near ``MAX_NU``).
-* ``amplitudes.chebyshev_t_polynomial``, key n, 41 entries: T_n in the
-  monomial basis.
-* ``chebyshev.PLAN_CACHE_SIZE`` (32) entries each, none growing with nu:
-  ``banded.narrowest_equation_order`` (key: the M x M block half-widths;
-  the equation order), ``chebyshev._reflection_slots`` (w; a block's
-  reflected slots, O(w^2) indices), ``chebyshev._fold_slots`` (nu, d, M,
-  kl, ku; the fold's slots, O(kl^2)), ``chebyshev._outside_slots`` (n, kl,
-  ku; the slots of rows outside a band, O(kl^2 + ku^2)),
-  ``chebyshev._column_slots`` (n, kl, ku, columns; a gather of K columns,
-  O(K (kl + ku))), ``chebyshev._dia_template`` (n, kl, ku; a DIA array on
-  the band's offsets with no data) and ``_correction_units`` (M, nu, s;
-  the 2M (s + 1) unit entries of the correction basis).
+bounded ``functools.lru_cache`` and read-only, so that a build runs only
+the arithmetic on its system's coefficients; the README's cache table
+lists them.
 """
 
 from __future__ import annotations
@@ -78,7 +61,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -158,20 +140,19 @@ class LevinProblem:
 
     def __post_init__(self):
         for name in ("nu", "s"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            # a bool has __index__, but is never a count
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nu < 2 or self.nu % 2 != 0:
             raise ValueError(f"nu must be even and >= 2, got {self.nu}")
         if self.nu > MAX_NU:
             raise NuTooLargeError(f"nu={self.nu} is above the limit MAX_NU = {MAX_NU}")
         if self.s < 0:
             raise ValueError("s must be >= 0")
-        if self.amplitude.dim != self.system.dim:
+        if len(self.amplitude.components) != self.system.dim:
             raise ValueError(
-                f"amplitude has {self.amplitude.dim} components, "
+                f"amplitude has {len(self.amplitude.components)} components, "
                 f"system has {self.system.dim}"
             )
         if self.s >= 1 and self.amplitude.max_derivative_order < self.s:
@@ -260,7 +241,7 @@ class CollocationEngine:
         # is entry (n, n') of block (order[a], j)), the M equations of each
         # grid point in the order whose band is narrowest (for Bessel, swapped).
         self.order = narrowest_equation_order(widths)
-        band = reorder_block_banded(blocks, self.order)
+        band = reorder_block_banded([blocks[i] for i in self.order])
         del blocks
         # For s >= 1, the tail columns: the scaled operator applied to each tail
         # element e_k T_n (n = nu+2 .. nu+2s+1), aliased onto the grid, with
@@ -444,17 +425,19 @@ class CollocationEngine:
 
     # -- residual --------------------------------------------------------------
 
-    def residual(self, coeffs: np.ndarray, f_values: np.ndarray, z: np.ndarray,
-                 level: float) -> float:
+    def residual(self, coeffs: np.ndarray, rhs_scaled: np.ndarray, targets: np.ndarray,
+                 z: np.ndarray, level: float) -> float:
         """Max collocation residual |L_omega q - f| over all grid points, or
         an upper bound on it that is at most ``level``.
 
-        ``coeffs`` (M, nu+2s+2) holds head and tail, ``z`` the DCT-I
-        coefficients of the scaled right-hand side from ``solve_cleared``.
-        The endpoint rows (recovered by the bordering solve) are checked
-        directly, divided back by r(+-1).  The interior rows are in scaled
-        cleared form: acc, the operator applied to the head plus the tail,
-        should have the values C z.  As |T_k(c_m)| <= 1, the interior
+        ``coeffs`` (M, nu+2s+2) holds head and tail; ``rhs_scaled``,
+        ``targets`` and ``z`` are the scaled right-hand side and condition
+        values given to ``solve_cleared`` and the DCT-I coefficients it
+        returned.  The endpoint rows (recovered by the bordering solve) are
+        checked directly against the first 2M targets, divided back by
+        r(+-1).  The interior rows are in scaled cleared form: acc, the
+        operator applied to the head plus the tail, should have the values
+        C z.  As |T_k(c_m)| <= 1, the interior
         residuals are at most (||acc - z||_1 + the round trip's rounding)
         / min_m (1 - c_m^2) |r(c_m)|.  When that bound and the endpoint
         residual are at most ``level``, their maximum is returned with no
@@ -467,15 +450,14 @@ class CollocationEngine:
         if self.s:
             acc = acc + (coeffs[:, nu + 2 :].reshape(-1)
                          @ self.tail_ops.reshape(len(self.tail_ops), -1)).reshape(m, nu + 2)
-        ends = np.abs(self.rows[: 2 * m] @ coeffs.reshape(-1)
-                      - (self.r_end * f_values[:, [0, -1]]).reshape(-1)) / self.r_end_abs
+        ends = np.abs(self.rows[: 2 * m] @ coeffs.reshape(-1) - targets[: 2 * m]) / self.r_end_abs
         bound = (np.abs(acc - z).sum(axis=1) + _dct_rounding_bound(z)).max() / self.interior_floor
         # np.maximum keeps a NaN, which is not <= level.
         certified = float(np.maximum(bound, ends.max()))
         if certified <= level:
             return certified
-        y = np.array([apply_collocation_matrix(a, self.grid) for a in acc])
-        rhs = (self.sin2_r * f_values)[list(self.order), 1:-1]  # band order
+        y = np.array([apply_collocation_matrix(a) for a in acc])
+        rhs = rhs_scaled[list(self.order), 1:-1]  # band order
         interior = np.abs(y[:, 1:-1] - rhs) / self.interior_scale
         return float(max(interior.max(), ends.max()))
 
@@ -624,7 +606,7 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
     value = _boundary_value(problem.system, coeffs, eng.signs)
     f_scale = float(np.max(np.abs(f_values)))
     level = RESIDUAL_FLAG_FACTOR * problem.system.omega * max(f_scale, 1e-300)
-    resid = eng.residual(coeffs, f_values, z, level)
+    resid = eng.residual(coeffs, rhs_scaled, targets, z, level)
     # A NaN residual is flagged too.
     flagged = not resid <= level
     coeffs = coeffs.astype(np.complex128, copy=False)

@@ -35,9 +35,10 @@ class OscillatorSystem:
     reported by diagnostics: max(deg r, max deg rG) for systems with
     dim >= 2, and max(deg r, max deg rG + 1) for scalar systems, matching
     the convention that the scalar banded operator has bandwidth 2d + 3.
+    The number of components M, ``dim``, is the size of ``r_g``, which must
+    be M x M, with M entries in each of ``w_plus`` and ``w_minus``.
     """
 
-    dim: int
     omega: float
     r: Polynomial
     r_g: tuple
@@ -46,10 +47,19 @@ class OscillatorSystem:
     config: dict | None = None
 
     def __post_init__(self):
+        m = self.dim
+        if m < 1 or any(len(row) != m for row in self.r_g):
+            raise ValueError("rG must be a square matrix of polynomials")
+        if np.shape(self.w_plus) != (m,) or np.shape(self.w_minus) != (m,):
+            raise ValueError("w_plus / w_minus must have one entry per component")
         _check_oscillator_data(
             self.omega, r=self.r.coeffs,
             rG=np.concatenate([p.coeffs for row in self.r_g for p in row]),
             w_plus=self.w_plus, w_minus=self.w_minus)
+
+    @property
+    def dim(self) -> int:
+        return len(self.r_g)
 
     @property
     def d(self) -> int:
@@ -81,14 +91,10 @@ class AmplitudeSpec:
     def __post_init__(self):
         if (self.deriv_plus is None) != (self.deriv_minus is None):
             raise ValueError("give both deriv_plus and deriv_minus, or neither")
+        m = len(self.components)
         for name, table in (("deriv_plus", self.deriv_plus), ("deriv_minus", self.deriv_minus)):
-            if table is not None and (np.ndim(table) != 2 or np.shape(table)[1] != self.dim):
-                raise ValueError(f"{name} must have shape (orders, {self.dim}), "
-                                 f"got {np.shape(table)}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
+            if table is not None and (np.ndim(table) != 2 or np.shape(table)[1] != m):
+                raise ValueError(f"{name} must have shape (orders, {m}), got {np.shape(table)}")
 
     @property
     def max_derivative_order(self) -> int:
@@ -98,7 +104,7 @@ class AmplitudeSpec:
 
     def values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty((self.dim,) + x.shape, dtype=np.complex128)
+        out = np.empty((len(self.components),) + x.shape, dtype=np.complex128)
         for i, f in enumerate(self.components):
             out[i] = f(x)
         return out
@@ -169,8 +175,8 @@ def make_exponential(g, omega: float) -> OscillatorSystem:
     w_plus = np.array([np.exp(1j * omega * complex(g(1.0)))])
     w_minus = np.array([np.exp(1j * omega * complex(g(-1.0)))])
     cfg = {"type": "exponential", "g": _poly_to_json(g), "omega": float(omega)}
-    return OscillatorSystem(dim=1, omega=float(omega), r=Polynomial([1.0]),
-                            r_g=r_g, w_plus=w_plus, w_minus=w_minus, config=cfg)
+    return OscillatorSystem(omega=float(omega), r=Polynomial([1.0]), r_g=r_g,
+                            w_plus=w_plus, w_minus=w_minus, config=cfg)
 
 
 def make_bessel(gamma: int, a: float, omega: float) -> OscillatorSystem:
@@ -199,7 +205,7 @@ def make_bessel(gamma: int, a: float, omega: float) -> OscillatorSystem:
     w_plus, w_minus = np.stack([scipy.special.jv(gamma, ends), scipy.special.jvp(gamma, ends)],
                                axis=1).astype(np.complex128)
     cfg = {"type": "bessel", "gamma": gamma, "a": float(a), "omega": float(omega)}
-    return OscillatorSystem(dim=2, omega=float(omega), r=r, r_g=r_g,
+    return OscillatorSystem(omega=float(omega), r=r, r_g=r_g,
                             w_plus=w_plus, w_minus=w_minus, config=cfg)
 
 
@@ -295,15 +301,9 @@ def parse_oscillator_config(config, omega: float | None = None) -> OscillatorSys
             raise ValueError("custom systems cannot be rebuilt at a new omega")
         r = _poly_from_json(config["r"])
         r_g = tuple(tuple(_poly_from_json(p) for p in row) for row in config["rG"])
-        m = len(r_g)
-        if any(len(row) != m for row in r_g):
-            raise ValueError("rG must be a square matrix of polynomials")
         w_plus = np.array([complex(c[0], c[1]) for c in config["w_plus"]])
         w_minus = np.array([complex(c[0], c[1]) for c in config["w_minus"]])
-        if w_plus.shape != (m,) or w_minus.shape != (m,):
-            raise ValueError("w_plus / w_minus must have one entry per component")
-        system = OscillatorSystem(dim=m, omega=w, r=r, r_g=r_g,
-                                  w_plus=w_plus, w_minus=w_minus,
+        system = OscillatorSystem(omega=w, r=r, r_g=r_g, w_plus=w_plus, w_minus=w_minus,
                                   config=dict(config))
         # after the constructor's finiteness check, so r is finite when sampled
         _check_no_roots(r, 1001, "custom r", PoleInIntervalError)

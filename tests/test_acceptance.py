@@ -327,7 +327,7 @@ def test_criterion_7_structural_suite():
     folded = scalar_folded_operator(i1_system(omega), nu)
     ok = True
     for n in range(nu + 2):
-        lhs = apply_collocation_matrix(folded.columns((n,))[0], grid)
+        lhs = apply_collocation_matrix(folded.columns((n,))[0])
         th = np.arccos(np.clip(grid.points, -1, 1))
         rhs = (ONE_MINUS_X2(grid.points) * n * np.where(grid.sin2 > 0, np.sin(n * th), 0)
                / np.where(grid.sin2 > 0, np.sin(th), 1.0)

@@ -298,15 +298,16 @@ def test_reorder_of_unequal_block_bandwidths_is_the_exact_permutation(m, bands):
 
 @pytest.mark.parametrize("order", [(1, 0), (2, 0, 1), (1, 2, 0)])
 def test_reorder_in_an_equation_order_permutes_the_rows_only(order):
-    # row M l + a holds equation order[a]; columns stay in Hockney order,
-    # and the band has the half-widths interleaved_halfwidths gives the
-    # blocks, with no entry outside them
+    # given the block rows in an equation order, row M l + a holds equation
+    # order[a]; columns stay in Hockney order, and the band has the
+    # half-widths interleaved_halfwidths gives the blocks, with no entry
+    # outside them
     m, nub = len(order), 9
     rng = np.random.default_rng(60 + m)
     widths = [[(a + 2 * b) % 4 for b in range(m)] for a in range(m)]
     blocks = [[band_from_dense(random_banded(nub, widths[a][b], widths[a][b], rng, dtype=float),
                                widths[a][b], widths[a][b]) for b in range(m)] for a in range(m)]
-    out = reorder_block_banded(blocks, order)
+    out = reorder_block_banded([blocks[i] for i in order])
     idx = np.arange(m * nub)
     cols = (idx % m) * nub + idx // m
     rows = np.array(order)[idx % m] * nub + idx // m

@@ -102,6 +102,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["quad", "--config", str(missing)]) == 2
 
 
+def test_an_output_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    # once a FileNotFoundError traceback and exit 1, after all the work
+    cfg = write_config(tmp_path)
+    out = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["quad", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+
+
 def test_sweep_omega_csv_and_decay(tmp_path, monkeypatch):
     monkeypatch.setenv("OSCILLQUAD_ORACLE_POINTS", "200000")
     cfg = write_config(tmp_path, nu=4,
@@ -154,9 +162,10 @@ def test_sweep_nu_rejects_odd(tmp_path):
     assert main(["sweep-nu", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("fields", [{"nu": 64.9}, {"s": 1.5}, {"nu": 64.9, "s": 1.5}])
+@pytest.mark.parametrize("fields", [{"nu": 64.9}, {"s": 1.5}, {"nu": 64.9, "s": 1.5},
+                                    {"s": True}])
 def test_quad_refuses_a_fractional_nu_or_s(tmp_path, capsys, fields):
-    # int() once truncated these to nu 64, s 1 and exited 0
+    # int() once truncated these to nu 64, s 1 and exited 0, and true ran as s 1
     cfg = write_config(tmp_path, amplitude="cos", **fields)
     assert main(["quad", "--config", str(cfg)]) == 2
     assert "must be an integer" in capsys.readouterr().err

@@ -42,6 +42,7 @@ from oscillquad.chebyshev import (
     clenshaw_curtis_points,
     endpoint_derivative_rows,
     fold_operator,
+    real_if_zero_imag,
 )
 from oscillquad.levin import (
     CollocationEngine,
@@ -275,7 +276,7 @@ def test_endpoint_derivative_conditions_hold():
 def decoupled_two_phase_system(omega):
     """Two independent exponential oscillators (phases x and 2x) as one block system."""
     return OscillatorSystem(
-        dim=2, omega=omega, r=Polynomial([1.0]),
+        omega=omega, r=Polynomial([1.0]),
         r_g=((Polynomial([1j * omega]), Polynomial([0.0])),
              (Polynomial([0.0]), Polynomial([2j * omega]))),
         w_plus=np.array([np.exp(1j * omega), np.exp(2j * omega)]),
@@ -474,7 +475,7 @@ def block_diagonal_system(m, field):
     r_g = tuple(tuple(unit * (k + 1) * 20.0 * r if j == k else Polynomial([0.0])
                       for j in range(m)) for k in range(m))
     ones = np.ones(m, dtype=np.complex128)
-    return OscillatorSystem(dim=m, omega=20.0 * m, r=r, r_g=r_g, w_plus=ones, w_minus=ones)
+    return OscillatorSystem(omega=20.0 * m, r=r, r_g=r_g, w_plus=ones, w_minus=ones)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -532,7 +533,7 @@ TAIL_SYSTEMS = {
     "exp_cubic": lambda: make_exponential([0.0, 1.5, 0.3, -0.2], 80.0),
     "bessel": lambda: make_bessel(1, -2.5, 100.0),
     "custom_r": lambda: OscillatorSystem(
-        dim=1, omega=150.0, r=Polynomial([3.0, 1.0, 0.2]),
+        omega=150.0, r=Polynomial([3.0, 1.0, 0.2]),
         r_g=((150j * Polynomial([1.0, 0.0, 0.5]),),),
         w_plus=np.array([0.3 - 0.7j]), w_minus=np.array([1.1 + 0.2j])),
 }
@@ -567,6 +568,11 @@ def folded_blocks(sys, nu, s):
     return [[fold_operator(b, nu, depth) for b in row] for row in big]
 
 
+def in_order(blocks, order):
+    """The block rows in equation order: row a is block row order[a]."""
+    return [blocks[i] for i in order]
+
+
 def folded_block_interiors(sys, nu, s):
     """Rows and columns 1..nu of each folded operator block, built one by one."""
     return [[b.principal_submatrix(1, nu + 1) for b in row]
@@ -583,9 +589,9 @@ def test_reordered_band_equals_the_per_block_construction(m, s):
     sys = engine_system(m)
     eng = CollocationEngine(sys, nu, s)
     for got, want in (
-            (eng.operator, reorder_block_banded(folded_blocks(sys, nu, s), eng.order)),
+            (eng.operator, reorder_block_banded(in_order(folded_blocks(sys, nu, s), eng.order))),
             (eng.interior_band(),
-             reorder_block_banded(folded_block_interiors(sys, nu, s), eng.order))):
+             reorder_block_banded(in_order(folded_block_interiors(sys, nu, s), eng.order)))):
         assert (got.n, got.lower_bw, got.upper_bw) == (want.n, want.lower_bw, want.upper_bw)
         assert got.data.dtype == want.data.dtype
         assert got.data.tobytes() == want.data.tobytes()
@@ -762,7 +768,7 @@ def test_a_tail_system_that_fails_its_screen_falls_back_from_one_build(monkeypat
 
 def _residual_call(problem):
     """The fast result, and the engine and arguments it passed to its
-    residual check: (result, (engine, coeffs, f_values, z, level))."""
+    residual check: (result, (engine, coeffs, rhs_scaled, targets, z, level))."""
     seen = []
     original = CollocationEngine.residual
 
@@ -791,10 +797,10 @@ def test_fast_solve_runs_2m_transforms_for_every_s(m, s, monkeypatch):
             return _f(*a, **k)
 
         monkeypatch.setattr(levin, name, counted)
-    res, (eng, coeffs, f_values, z, level) = _residual_call(problem)
+    res, (eng, *args, level) = _residual_call(problem)
     assert not res.flagged and res.residual <= level
     assert calls == {"apply_collocation_matrix": 0, "apply_inverse_collocation": 1}
-    eng.residual(coeffs, f_values, z, 0.0)
+    eng.residual(*args, 0.0)
     assert calls == {"apply_collocation_matrix": m, "apply_inverse_collocation": 1}
 
 
@@ -805,20 +811,21 @@ def test_exact_residual_is_the_value_space_check(m, s):
     # head plus the tail, divided back by (1 - c^2) r, and the endpoint
     # rows divided back by r(+-1)
     sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
-    _, (eng, coeffs, f_values, z, _) = _residual_call(
-        LevinProblem(system=sys, amplitude=runge_amplitude(m), nu=32, s=s))
+    amp = runge_amplitude(m)
+    _, (eng, coeffs, *args, _) = _residual_call(LevinProblem(system=sys, amplitude=amp, nu=32, s=s))
     nu, grid, r_vals = eng.nu, eng.grid, eng.r_vals
+    f_values = real_if_zero_imag(amp.values(grid.points))
     # the band's rows and the tail columns' hold the equations in eng.order
     acc = ((eng.operator_dia @ coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
            + (coeffs[:, nu + 2 :].reshape(-1)
               @ eng.tail_ops.reshape(-1, m * (nu + 2))).reshape(m, nu + 2))
-    y = np.array([apply_collocation_matrix(a, grid) for a in acc])
+    y = np.array([apply_collocation_matrix(a) for a in acc])
     interior = np.abs(y[:, 1:-1] - (grid.sin2 * r_vals * f_values)[list(eng.order), 1:-1]) / (
         grid.sin2[1:-1] * np.abs(r_vals[1:-1]))
     r_end = r_vals[[0, -1]]
     ends = np.abs(eng.rows[: 2 * m] @ coeffs.reshape(-1)
                   - (r_end * f_values[:, [0, -1]]).reshape(-1)) / np.tile(np.abs(r_end), m)
-    assert eng.residual(coeffs, f_values, z, 0.0) == float(max(interior.max(), ends.max()))
+    assert eng.residual(coeffs, *args, 0.0) == float(max(interior.max(), ends.max()))
 
 
 @settings(max_examples=120, deadline=None)
@@ -843,12 +850,12 @@ def test_certificate_bounds_the_exact_residual_and_keeps_its_flag(data):
     nu = 2 * data.draw(st.integers(4, 48), label="nu/2")
     s = data.draw(st.integers(0, 2), label="s")
     try:
-        res, (eng, coeffs, f_values, z, level) = _residual_call(
+        res, (eng, *args, level) = _residual_call(
             LevinProblem(system=sys, amplitude=amp, nu=nu, s=s))
     except (SingularMatrixError, UnsupportedRegimeError):
         return
-    certificate = eng.residual(coeffs, f_values, z, math.inf)
-    exact = eng.residual(coeffs, f_values, z, 0.0)
+    certificate = eng.residual(*args, math.inf)
+    exact = eng.residual(*args, 0.0)
     assert certificate >= exact or math.isnan(certificate)
     assert res.flagged == (not exact <= level)
     assert res.residual <= level or res.residual == exact or math.isnan(exact)
@@ -871,7 +878,7 @@ def block_diagonal_exponential(g1, g2, omega):
     rg1, rg2 = (1j * omega * Polynomial(g).deriv() for g in (g1, g2))
     ends = [[np.exp(1j * omega * complex(Polynomial(g)(x))) for g in (g1, g2)]
             for x in (1.0, -1.0)]
-    return OscillatorSystem(dim=2, omega=omega, r=Polynomial([1.0]), r_g=((rg1, zero), (zero, rg2)),
+    return OscillatorSystem(omega=omega, r=Polynomial([1.0]), r_g=((rg1, zero), (zero, rg2)),
                             w_plus=np.array(ends[0]), w_minus=np.array(ends[1]))
 
 
@@ -1012,7 +1019,7 @@ def test_custom_scalar_system_with_nontrivial_r():
     rng = np.random.default_rng(99)
     omega = 150.0
     sys = OscillatorSystem(
-        dim=1, omega=omega, r=Polynomial([3.0, 1.0]),
+        omega=omega, r=Polynomial([3.0, 1.0]),
         r_g=((1j * omega * Polynomial([1.0, 0.0, 0.5]),),),
         w_plus=np.array([0.3 - 0.7j]), w_minus=np.array([1.1 + 0.2j]))
     amp, expected = random_manufactured(sys, 12, 0, rng)
@@ -1038,7 +1045,7 @@ def test_coupled_three_component_system():
               for j in range(m))
         for i in range(m))
     sys = OscillatorSystem(
-        dim=m, omega=omega, r=Polynomial([4.0, 1.0]), r_g=r_g,
+        omega=omega, r=Polynomial([4.0, 1.0]), r_g=r_g,
         w_plus=rng.normal(size=m) + 1j * rng.normal(size=m),
         w_minus=rng.normal(size=m) + 1j * rng.normal(size=m))
     for s in (0, 1):
@@ -1253,7 +1260,7 @@ def test_non_finite_derivative_tables_are_rejected_when_the_problem_is_built(bad
 
 def test_nan_residual_is_flagged(monkeypatch):
     monkeypatch.setattr(CollocationEngine, "residual",
-                        lambda self, c, f, z, level: float("nan"))
+                        lambda self, c, rhs, targets, z, level: float("nan"))
     prob = LevinProblem(system=make_exponential([0.0, 1.0], 100.0),
                         amplitude=runge_amplitude(1), nu=16)
     assert _solve_fast(prob).flagged
@@ -1515,9 +1522,11 @@ def test_problem_rejects_nu_above_the_limit():
     assert issubclass(NuTooLargeError, ValueError)
 
 
-@pytest.mark.parametrize("field,kwargs", [("nu", {"nu": 64.0}), ("s", {"nu": 64, "s": 1.5})])
+@pytest.mark.parametrize("field,kwargs", [("nu", {"nu": 64.0}), ("s", {"nu": 64, "s": 1.5}),
+                                          ("s", {"nu": 64, "s": True})])
 def test_problem_takes_only_integer_nu_and_s(field, kwargs):
-    # a float once passed construction and failed inside quadrature
+    # a float once passed construction and failed inside quadrature, and a
+    # bool ran as 0 or 1
     sys = make_exponential([0.0, 1.0], 100.0)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         LevinProblem(system=sys, amplitude=runge_amplitude(1), **kwargs)

@@ -112,7 +112,7 @@ BUILDERS = {
     "bessel": lambda omega: make_bessel(1, 2.0, omega),
     "custom": lambda omega: parse_oscillator_config(dict(CUSTOM, omega=omega)),
     "direct": lambda omega: OscillatorSystem(
-        dim=1, omega=omega, r=Polynomial([1.0]), r_g=((Polynomial([0.0, 1j]),),),
+        omega=omega, r=Polynomial([1.0]), r_g=((Polynomial([0.0, 1j]),),),
         w_plus=np.ones(1, dtype=complex), w_minus=np.ones(1, dtype=complex)),
 }
 
@@ -133,6 +133,33 @@ def test_non_finite_custom_data_is_rejected(field, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             parse_oscillator_config(dict(CUSTOM, **{field: value}))
+
+
+def direct_system(r_g, w_plus, w_minus):
+    return OscillatorSystem(omega=10.0, r=Polynomial([1.0]), r_g=r_g,
+                            w_plus=np.array(w_plus, dtype=complex),
+                            w_minus=np.array(w_minus, dtype=complex))
+
+
+ONE = Polynomial([1.0])
+
+
+@pytest.mark.parametrize("r_g,w_plus,w_minus,match", [
+    pytest.param(((ONE, ONE), (ONE,)), (1.0, 1.0), (1.0, 1.0), "rG must be a square",
+                 id="ragged-rG"),
+    pytest.param(((ONE, ONE),), (1.0,), (1.0,), "rG must be a square", id="1x2-rG"),
+    pytest.param((), (), (), "rG must be a square", id="no-component"),
+    pytest.param(((ONE, ONE), (ONE, ONE)), (1.0,), (1.0, 1.0), "one entry per component",
+                 id="short-w_plus"),
+    pytest.param(((ONE,),), (1.0,), (1.0, 1.0), "one entry per component",
+                 id="long-w_minus"),
+])
+def test_a_system_of_mismatched_shapes_is_rejected(r_g, w_plus, w_minus, match):
+    # M is len(r_G); a 1 x 1 r_G with M stated as 2 once raised IndexError
+    # in the engine, and a short w_plus failed only at the boundary value
+    with pytest.raises(ValueError, match=match):
+        direct_system(r_g, w_plus, w_minus)
+    assert direct_system(((ONE, ONE), (ONE, ONE)), (1.0, 2.0), (3.0, 4.0)).dim == 2
 
 
 @pytest.mark.parametrize("field,build", [
@@ -281,7 +308,7 @@ def test_validate_bessel():
 
 def test_validate_rejects_root_in_interval():
     sys = OscillatorSystem(
-        dim=1, omega=10.0, r=Polynomial([0.0, 1.0]),
+        omega=10.0, r=Polynomial([0.0, 1.0]),
         r_g=((Polynomial([10.0j]),),),
         w_plus=np.array([1.0 + 0j]), w_minus=np.array([1.0 + 0j]))
     diag = validate_system(sys)

@@ -8,6 +8,8 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import pstats
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,6 @@ CACHED_CALLS = [
     (levin._endpoint_tables, (69, 2)),
     (amplitudes.chebyshev_t_polynomial, (7,)),
     (banded.narrowest_equation_order, (((3, 4), (4, 3)),)),
-    (chebyshev._column_slots, (132, 8, 8, (0, 130, 1, 131))),
     (chebyshev._dia_template, (132, 8, 8)),
     (chebyshev._outside_slots, (128, 8, 8)),
     (chebyshev._reflection_slots, (4,)),
@@ -64,6 +65,14 @@ CACHED_CALLS = [
 def test_cached_calls_cover_every_cache():
     # a new cache must join the checks here
     assert {f for f, _ in CACHED_CALLS} == set(library_caches())
+
+
+def test_the_readme_cache_table_names_every_cache():
+    # the one list of the caches: a new one must be listed, a deleted one unlisted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+)\.(\w+)` \|", readme, flags=re.M)
+    assert sorted(listed) == sorted((f.__module__.split(".")[-1], f.__name__)
+                                    for f in library_caches())
 
 
 @pytest.mark.parametrize("plan,args", CACHED_CALLS, ids=[f.__name__ for f, _ in CACHED_CALLS])
@@ -86,8 +95,8 @@ def test_engines_at_twice_as_many_shapes_keep_each_cache_at_its_bound():
     for plan in library_caches():
         info = plan.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, plan.__name__
-    for plan in (chebyshev._column_slots, chebyshev._dia_template, chebyshev._outside_slots,
-                 chebyshev._fold_slots, levin._correction_units, chebyshev.clenshaw_curtis_points,
+    for plan in (chebyshev._dia_template, chebyshev._outside_slots, chebyshev._fold_slots,
+                 levin._correction_units, chebyshev.clenshaw_curtis_points,
                  levin._endpoint_tables, amplitudes.chebyshev_t_polynomial):
         assert plan.cache_info().currsize == plan.cache_info().maxsize, plan.__name__
 
