@@ -15,7 +15,10 @@ differences anywhere:
   n = 40 (see ``MAX_MANUFACTURED_INDEX``).
 
 For systems with more than one component the named scalar amplitudes sit
-in the first component and the rest are zero.
+in the first component and the rest are zero.  Each component returns its
+samples in the field it computes them in, and each derivative table is in
+the field of its entries: a real amplitude on a real (Bessel) system stays
+float64 from the samples to the solve.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ MAX_MANUFACTURED_INDEX = 40
 
 
 def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=np.float64), dtype=np.complex128)
+    return np.zeros(np.shape(x))
 
 
 def _pad_components(first, dim):
@@ -47,9 +50,8 @@ def _pad_components(first, dim):
 
 
 def _tables_first_component(dim, plus_col, minus_col):
-    l_max = len(plus_col)
-    dp = np.zeros((l_max, dim), dtype=np.complex128)
-    dm = np.zeros((l_max, dim), dtype=np.complex128)
+    dp = np.zeros((len(plus_col), dim), dtype=np.result_type(plus_col, minus_col))
+    dm = np.zeros_like(dp)
     dp[:, 0] = plus_col
     dm[:, 0] = minus_col
     return dp, dm
@@ -60,11 +62,7 @@ def rational_amplitude(num: Polynomial, den: Polynomial, dim: int,
     """Scalar rational amplitude in the first component, exact derivatives."""
     rat = RationalFunction(num, den)
     dp, dm = _tables_first_component(dim, *rat.endpoint_derivatives(MAX_DERIVATIVE_ORDER)[:, 1:])
-
-    def f(x):
-        return rat(np.asarray(x, dtype=np.float64)).astype(np.complex128)
-
-    return AmplitudeSpec(components=_pad_components(f, dim),
+    return AmplitudeSpec(components=_pad_components(rat, dim),
                          deriv_plus=dp, deriv_minus=dm, name=name)
 
 
@@ -94,13 +92,10 @@ def manufactured_amplitude(system: OscillatorSystem, n: int) -> AmplitudeSpec:
             num = num + system.r * t_np
         rats.append(RationalFunction(num, system.r))
 
-    def make_f(rat):
-        return lambda x: rat(np.asarray(x, dtype=np.float64)).astype(np.complex128)
-
     tables = rational_endpoint_derivatives([rat.num for rat in rats], system.r,
                                            MAX_DERIVATIVE_ORDER)[:, :, 1:]
     dp, dm = tables.transpose(1, 2, 0)
-    return AmplitudeSpec(components=tuple(make_f(r) for r in rats),
+    return AmplitudeSpec(components=tuple(rats),
                          deriv_plus=dp, deriv_minus=dm, name=f"manufactured:{n}")
 
 
@@ -114,27 +109,23 @@ def make_amplitude(name: str, system: OscillatorSystem) -> AmplitudeSpec:
     """Resolve a registry name against a system (dimension, manufactured data)."""
     dim = system.dim
     if name == "one":
-        plus = np.zeros(MAX_DERIVATIVE_ORDER, dtype=np.complex128)
+        plus = np.zeros(MAX_DERIVATIVE_ORDER)
         dp, dm = _tables_first_component(dim, plus, plus)
         return AmplitudeSpec(
-            components=_pad_components(
-                lambda x: np.ones_like(np.asarray(x, dtype=np.float64),
-                                       dtype=np.complex128), dim),
+            components=_pad_components(lambda x: np.ones(np.shape(x)), dim),
             deriv_plus=dp, deriv_minus=dm, name="one")
     if name == "cos":
         ls = np.arange(1, MAX_DERIVATIVE_ORDER + 1)
-        plus = np.cos(1.0 + ls * np.pi / 2).astype(np.complex128)
-        minus = np.cos(-1.0 + ls * np.pi / 2).astype(np.complex128)
+        plus = np.cos(1.0 + ls * np.pi / 2)
+        minus = np.cos(-1.0 + ls * np.pi / 2)
         dp, dm = _tables_first_component(dim, plus, minus)
         return AmplitudeSpec(
-            components=_pad_components(
-                lambda x: np.cos(np.asarray(x, dtype=np.float64)).astype(np.complex128),
-                dim),
+            components=_pad_components(np.cos, dim),
             deriv_plus=dp, deriv_minus=dm, name="cos")
     if name == "rational_runge":
         return rational_amplitude(Polynomial([0.0, 1.0]), Polynomial([0.02, 0.0, 1.0]),
                                   dim, name="rational_runge")
-    if name.startswith("manufactured:"):
+    if isinstance(name, str) and name.startswith("manufactured:"):
         return manufactured_amplitude(system, int(name.split(":", 1)[1]))
     raise KeyError(f"unknown amplitude {name!r}; available: one, cos, "
                    f"rational_runge, manufactured:<n>")

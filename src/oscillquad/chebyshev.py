@@ -13,7 +13,9 @@ the multiplication operator) and nu+1+l goes to nu+1-l (T_{nu+1+l} =
 T_{nu+1-l} at the grid points, the fold that closes the system).
 
 Everything here is pure: no global state, all returned objects are meant
-to be treated as immutable.
+to be treated as immutable.  A ``Polynomial`` chooses its field once, and
+stencils, bands, endpoint derivatives and transforms compute in the field
+of their inputs, with float64 as the least precision.
 """
 
 from __future__ import annotations
@@ -37,21 +39,24 @@ class UnsupportedRegimeError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """Dense polynomial in the monomial basis with complex coefficients.
+    """Dense polynomial in the monomial basis.
 
     ``coeffs[j]`` holds the coefficient of ``x**j``.  Trailing exact zeros
     are trimmed on construction so ``degree == len(coeffs) - 1``; the zero
-    polynomial keeps a single zero coefficient and has degree 0.
+    polynomial keeps a single zero coefficient and has degree 0.  The field
+    is chosen here, once, for everything computed from the polynomial: the
+    coefficients are float64 when no imaginary part is nonzero, complex128
+    otherwise.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = coeffs  # a 1-D complex128 array is taken as it is
-        if not (type(c) is np.ndarray and c.dtype == np.complex128 and c.ndim == 1):
-            c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
+        c = np.atleast_1d(np.asarray(coeffs)).ravel()
+        c = (c.astype(np.complex128, copy=False) if c.dtype.kind == "c" and c.imag.any()
+             else c.real.astype(np.float64, copy=False))
         if c.size == 0:
-            c = np.zeros(1, dtype=np.complex128)
+            c = np.zeros(1)
         last = c.size - 1
         if c[last] == 0:
             nz = np.nonzero(c)[0]
@@ -68,8 +73,14 @@ class Polynomial:
         return self.degree == 0 and self.coeffs[0] == 0
 
     def __call__(self, x):
-        """Horner's rule (:func:`horner`)."""
-        return horner(self.coeffs, x)
+        """Horner's rule, with the operations of numpy's ``polyval``; float64
+        coefficients at real x evaluate in float64."""
+        if isinstance(x, (tuple, list)):
+            x = np.asarray(x)
+        v = self.coeffs[-1] + x * 0
+        for a in self.coeffs[-2::-1]:
+            v = a + v * x
+        return v
 
     def deriv(self) -> "Polynomial":
         if self.degree == 0:
@@ -87,7 +98,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial([other])
         n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n, dtype=np.complex128)
+        c = np.zeros(n, dtype=np.result_type(self.coeffs, other.coeffs))
         c[: len(self.coeffs)] += self.coeffs
         c[: len(other.coeffs)] += other.coeffs
         return Polynomial(c)
@@ -102,25 +113,16 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
-def horner(coeffs: np.ndarray, x):
-    """sum_j coeffs[j] x^j by Horner's rule, with the operations of numpy's
-    ``polyval``; float64 coefficients at real x evaluate in float64."""
-    if isinstance(x, (tuple, list)):
-        x = np.asarray(x)
-    v = coeffs[-1] + x * 0
-    for a in coeffs[-2::-1]:
-        v = a + v * x
-    return v
-
-
 def polynomial_endpoint_derivatives(polys, l_max: int) -> np.ndarray:
     """d^l/dx^l at x = +1 (e = 0) and -1 (e = 1), l = 0..l_max, of each of
     ``polys`` as entry [k, e, l]: one pass of Horner's rule over the table of
-    derivative coefficients c[1:] * (1, 2, ...), zero-padded to one length.
-    Each entry gets polyval's operations on its own coefficients: at a real
-    x, a padding zero times x is (0 x, 0), polyval's first term x * 0."""
+    derivative coefficients c[1:] * (1, 2, ...), zero-padded to one length,
+    in the common field of the coefficients.  Each entry gets polyval's
+    operations on its own coefficients: at a real x, a padding zero times x
+    is (0 x, 0), polyval's first term x * 0."""
     n = max(len(p.coeffs) for p in polys)
-    table = np.zeros((len(polys), l_max + 1, n), dtype=np.complex128)
+    table = np.zeros((len(polys), l_max + 1, n),
+                     dtype=np.result_type(*(p.coeffs for p in polys)))
     for k, p in enumerate(polys):
         table[k, 0, : len(p.coeffs)] = p.coeffs
     for l in range(1, min(l_max, n - 1) + 1):
@@ -246,30 +248,18 @@ def endpoint_derivative_rows(n_max: int, l_max: int, sign: int) -> np.ndarray:
     return out
 
 
-def real_if_zero_imag(a) -> np.ndarray:
-    """``a`` as float64 when no entry has a nonzero imaginary part, else as complex128.
-
-    The real part is taken only when the imaginary part is exactly zero, so
-    nothing is dropped.
-    """
-    a = np.asarray(a)
-    if a.dtype.kind == "c" and a.imag.any():
-        return a.astype(np.complex128, copy=False)
-    return a.real.astype(np.float64, copy=False)
-
-
 def apply_collocation_matrix(alpha) -> np.ndarray:
     """Values at the grid of the Chebyshev series with coefficients ``alpha``.
 
     Computes C @ alpha with C[m, k] = T_k(c_m) = cos(m k pi/(nu+1)) via a
-    single DCT-I after doubling the first and last coefficients.  Real
-    coefficients (or complex ones with a zero imaginary part) take a real
-    DCT-I and give float64 values; others give complex128.
+    single DCT-I after doubling the first and last coefficients, in the
+    field of ``alpha`` and at least in double precision: real coefficients
+    give float64 values, complex ones complex128.
     """
-    alpha = real_if_zero_imag(alpha)
+    alpha = np.asarray(alpha)
     if alpha.shape[0] < 3:
         raise ValueError("DCT-I needs at least 3 samples")
-    xt = alpha.copy()
+    xt = alpha.astype(np.result_type(alpha, np.float64))
     xt[0] *= 2.0
     xt[-1] *= 2.0
     return 0.5 * scipy.fft.dct(xt, type=1)
@@ -278,12 +268,13 @@ def apply_collocation_matrix(alpha) -> np.ndarray:
 def apply_inverse_collocation(values) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through grid values (C^-1 @ values).
 
-    Real values (or complex ones with a zero imaginary part) take a real
-    DCT-I and give float64 coefficients, the same numbers as the complex
-    transform at half the work; others give complex128.  The DCT-I is its
-    own inverse up to the factor 2/(nu+1).
+    It runs in the field of ``values`` and at least in double precision:
+    real values give float64 coefficients, the real part of the complex
+    transform at half the work, and complex ones complex128.  The DCT-I is
+    its own inverse up to the factor 2/(nu+1).
     """
-    v = real_if_zero_imag(values)
+    v = np.asarray(values)
+    v = v.astype(np.result_type(v, np.float64), copy=False)
     n = v.shape[0]
     if n < 3:
         raise ValueError("DCT-I needs at least 3 samples")
@@ -412,13 +403,13 @@ def _chebyshev_stencil(p: Polynomial, w: int) -> np.ndarray:
 
     p T_n = sum_t h[t] T_{n+t} with T_{-k} = T_k, where h[0] = a_0 and
     h[+-k] = a_k / 2 for the Chebyshev coefficients a_k of p.  Entry t sits
-    at index w + t; ``w`` must be at least deg p.  Real p gives float64.
+    at index w + t; ``w`` must be at least deg p.  It is in the field of p.
 
     The stencil is the Laurent series of p((z + 1/z) / 2) in z, expanded by
     Horner's rule: multiplication by x = (z + 1/z) / 2 averages the two
     neighbours of each slot.  The buffer has one spare slot at each end.
     """
-    a = real_if_zero_imag(p.coeffs)
+    a = p.coeffs
     h = np.zeros(2 * w + 3, dtype=a.dtype)
     h[w + 1] = 0 + a[-1]  # the first step, on a zero buffer
     for a_k in a[-2::-1]:

@@ -16,7 +16,10 @@ only the options shown for it; ``--repeats`` and ``--parallel`` must be at
 least 1.  Exit codes: 2 for usage and configuration errors, 3 for solver
 failures.  Every command is deterministic given its config (timings
 aside); rows are emitted in sorted parameter order regardless of worker
-scheduling.
+scheduling.  ``sweep-nu``'s ``wall_seconds_*`` columns compare only at
+``--parallel 1``: workers share the interpreter and the one engine slot,
+and with 2 workers on 2 vCPUs its fast column read about 3x the 1-worker
+time at nu 256 and 512.  ``bench`` is the timing command.
 """
 
 from __future__ import annotations
@@ -75,9 +78,12 @@ def _write_csv(path, header, rows):
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _build_problem(config: dict, omega: float | None = None,
@@ -91,8 +97,8 @@ def _build_problem(config: dict, omega: float | None = None,
             nu=nu if nu is not None else config["nu"],
             s=config.get("s", 0),
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _omega_grid(config: dict) -> np.ndarray:

@@ -37,17 +37,20 @@ entry-by-entry definition: the border pseudo-inverse amplifies a one-ulp
 change.
 
 One slot keeps the last engine built (``_engine_for``), keyed by nu, s and
-the coefficients of r and r G (which fix M); a miss drops the old engine
-before building the new one, so two never live at once.  The engine works
-in the field of its system: float64 when r and every r G entry are real
-(the Bessel family), complex128 otherwise; a complex amplitude on a real
-engine is solved as its real and imaginary parts.  An M = 2 engine keeps
-about 0.9 KB per unit of nu, which ``MAX_NU`` bounds.  The build
-interleaves the unfolded blocks into one band on exact half-widths, which
-the fold, the interior band and its LU keep, folds that band once, and
-writes the interior band and the right-hand sides once, in the layout
-gbtrf and gbtrs read.  Each build is logged at DEBUG level.  All entry
-points are pure functions of their problem; a shared engine is read-only.
+the coefficients of r and r G with their dtypes (which fix M); a miss drops
+the old engine before building the new one, so two never live at once.
+The engine works in the field its system's polynomials were made in
+(``Polynomial`` chooses it, once): float64 when r and every r G entry are
+real (the Bessel family), complex128 otherwise.  Amplitude samples come in
+their own field, and nothing after either is narrowed again; a complex
+amplitude on a real engine is solved as its real and imaginary parts.  An
+M = 2 engine keeps about 0.9 KB per unit of nu, which ``MAX_NU`` bounds.
+The build interleaves the unfolded blocks into one band on exact
+half-widths, which the fold, the interior band and its LU keep, folds that
+band once, and writes the interior band and the right-hand sides once, in
+the layout gbtrf and gbtrs read.  Each build is logged at DEBUG level.  All
+entry points are pure functions of their problem; a shared engine is
+read-only.
 
 Besides that slot, the library keeps only values that depend on a
 problem's shape (nu, s, M, block half-widths), each computed once in a
@@ -89,7 +92,6 @@ from .chebyshev import (
     fold_chebyshev_tail,
     fold_operator,
     polynomial_endpoint_derivatives,
-    real_if_zero_imag,
 )
 from .oscillator import AmplitudeSpec, OscillatorSystem
 
@@ -125,7 +127,10 @@ RESIDUAL_FLAG_FACTOR = 1e-5
 
 #: Singular values of the bordering matrix, in units of its columns'
 #: rounding floors, at or below which a direction counts as unresolved.
-#: Over the benchmark workloads they fall below 1e6 (noise) or above 1e7.
+#: They have no gap to put it in: over 4500 ``sweep`` draws (seeds 911 and
+#: 912, 30 blocks each) the counts per decade from 1e2 to 1e11 were 155, 36,
+#: 35, 27, 9, 21, 11, 34, 25 and 45, so the value trades noise let in
+#: against resolved directions dropped.
 BORDER_RESOLVED = 1e6
 
 
@@ -212,17 +217,12 @@ class CollocationEngine:
         self.grid = clenshaw_curtis_points(nu)
         # r, then the entries (i, j) of (r G)^T, which are r_g[j][i]
         polys = [system.r] + [system.r_g[j][i] for i in range(m) for j in range(m)]
-        # The field of the system, decided here once: float64 exactly when r
-        # and every r G entry have real coefficients, complex128 otherwise.
-        # The operator blocks below come out in the same field.
-        self.dtype = np.dtype(np.complex128 if np.concatenate([p.coeffs for p in polys]).imag.any()
-                              else np.float64)
-        self.r_vals = self._in_field(system.r(self.grid.points))
+        r_vals = system.r(self.grid.points)
         # r(+-1), |r(+-1)| once per (component, end), and (1 - x^2) r, which
         # scales each call's right-hand side
-        self.r_end = self.r_vals[[0, -1]]
+        self.r_end = r_vals[[0, -1]]
         self.r_end_abs = np.tile(np.abs(self.r_end), m)
-        self.sin2_r = self.grid.sin2 * self.r_vals
+        self.sin2_r = self.grid.sin2 * r_vals
 
         # (1-x^2)-scaled, r-cleared operator blocks on a generous basis range:
         # (1-x^2) r d/dx on the diagonal blocks, plus (1-x^2) (r G)^T.
@@ -252,7 +252,7 @@ class CollocationEngine:
             tail_cols = band.columns(unit_cols[2 * m :]).reshape(n_tail, n_build, m)
             self.tail_ops = fold_chebyshev_tail(tail_cols.transpose(0, 2, 1), nu)
         else:
-            self.tail_ops = np.zeros((0, m, nu + 2), dtype=self.dtype)
+            self.tail_ops = np.zeros((0, m, nu + 2), dtype=band.data.dtype)
         # The band folded onto the grid, on its own half-widths; its interior
         # rows and columns n = 1..nu are the projected system.
         self.operator = fold_operator(band, nu, max(map(max, widths)) - 1, stride=m)
@@ -264,7 +264,7 @@ class CollocationEngine:
             m, m * (nu + 1), spare_rows=self.operator.lower_bw))
         # (1 - c_m^2) |r(c_m)| on the interior points, which the residual
         # divides by
-        self.interior_scale = (self.grid.sin2 * np.abs(self.r_vals))[1:-1]
+        self.interior_scale = (self.grid.sin2 * np.abs(r_vals))[1:-1]
         self.interior_floor = float(self.interior_scale.min())
 
         # Cleared endpoint conditions d^l [r L q]_i (+-1), l = 0..s, by Leibniz
@@ -272,13 +272,13 @@ class CollocationEngine:
         # (i, l) at x = +1 (e = 0) or -1 (e = 1), over alpha_n^[j] at column
         # j (nu+2s+2) + n; the 2M rows of l = 0 are the endpoint rows.  Each
         # entry adds its terms for p = 0..l, the r term before the (r G)^T one.
-        ends = self._in_field(polynomial_endpoint_derivatives(polys, s))
+        ends = polynomial_endpoint_derivatives(polys, s)
         self.r_derivs = ends[0]
         gt_derivs = ends[1:].reshape(m, m, 2, s + 1).transpose(0, 2, 1, 3)  # (i, e, j, p)
         t_tabs = _endpoint_tables(n_all - 1, s + 1)
         # T_n(-1) = (-1)^n, the weights of q(-1) in the boundary value.
         self.signs = t_tabs[1, 0].copy()
-        rows = np.zeros((s + 1, m, 2, m, n_all), dtype=self.dtype)
+        rows = np.zeros((s + 1, m, 2, m, n_all), dtype=ends.dtype)
         diag = np.einsum("liein->lien", rows)  # a view: rows of condition i on column block i
         for l in range(s + 1):
             for p in range(l + 1):
@@ -294,7 +294,7 @@ class CollocationEngine:
         # right-hand sides are the C-ordered (K, nu, M) array that is the
         # Fortran-ordered (M nu, K) matrix gbtrs reads, in the band's order.
         n_units = len(unit_cols)
-        rhs = np.empty((n_units, nu, m), dtype=self.dtype)
+        rhs = np.empty((n_units, nu, m), dtype=ends.dtype)
         rhs[: 2 * m] = self.operator.columns(unit_cols[: 2 * m])[:, m : m * (nu + 1)].reshape(
             2 * m, nu, m)
         rhs[2 * m :] = self.tail_ops[:, :, 1 : nu + 1].transpose(0, 2, 1)
@@ -339,11 +339,11 @@ class CollocationEngine:
 
     def kept_arrays(self) -> list[np.ndarray]:
         """Every array the engine keeps, its grid's included."""
-        return [a for a in (self.grid.points, self.grid.sin2, self.r_vals, self.r_end,
-                            self.r_end_abs, self.sin2_r, self.operator.data,
-                            self.operator_dia.offsets, self.tail_ops, self.lu.factors.data,
-                            self.lu.pivots, self.interior_scale, self.r_derivs, self.signs,
-                            self.rows, self.basis, self.border, self.weights)
+        return [a for a in (self.grid.points, self.grid.sin2, self.r_end, self.r_end_abs,
+                            self.sin2_r, self.operator.data, self.operator_dia.offsets,
+                            self.tail_ops, self.lu.factors.data, self.lu.pivots,
+                            self.interior_scale, self.r_derivs, self.signs, self.rows,
+                            self.basis, self.border, self.weights)
                 if a is not None]
 
     def interior_band(self) -> BandedMatrix:
@@ -351,14 +351,6 @@ class CollocationEngine:
         operator, equations in band order, on its half-widths, which are the
         LU's; a new band like the one the engine factors and does not keep."""
         return self.operator.principal_submatrix(self.m, self.m * (self.nu + 1))
-
-    def _in_field(self, values) -> np.ndarray:
-        """Values of this system's polynomials in the engine's field; a real
-        system's values have exactly zero imaginary parts."""
-        values = np.asarray(values)
-        if self.dtype == np.float64:
-            return np.ascontiguousarray(values.real)
-        return values.astype(np.complex128, copy=False)
 
     def _border_pseudo_inverse(self) -> np.ndarray:
         """Solver for the bordering system that leaves out unresolved directions.
@@ -485,14 +477,15 @@ _engine_slot: tuple | None = None
 def _engine_for(system: OscillatorSystem, nu: int, s: int) -> tuple[CollocationEngine, bool]:
     """The engine for (system, nu, s), and whether it came from the slot.
 
-    The key holds everything the engine reads from ``system``: the
-    coefficients of r and of each r G entry (whose count fixes M).  Threads
+    The key holds everything the engine reads from ``system``: the dtype
+    and bytes of the coefficients of r and of each r G entry (whose count
+    fixes M); 2 + 0.5x and 2 + 0.5i have the same bytes.  Threads
     may race on the slot; the loser only builds an engine it could have
     shared.
     """
     global _engine_slot
-    key = (nu, s, system.r.coeffs.tobytes(),
-           tuple(p.coeffs.tobytes() for row in system.r_g for p in row))
+    key = (nu, s) + tuple((p.coeffs.dtype.char, p.coeffs.tobytes())
+                          for p in (system.r, *(p for row in system.r_g for p in row)))
     slot = _engine_slot
     if slot is not None and slot[0] == key:
         return slot[1], True
@@ -509,7 +502,7 @@ def _engine_for(system: OscillatorSystem, nu: int, s: int) -> tuple[CollocationE
         array.setflags(write=False)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("built engine: M=%d nu=%d s=%d field=%s in %.6f s, keeping %d bytes",
-                   engine.m, nu, s, engine.dtype.name, time.perf_counter() - t0,
+                   engine.m, nu, s, engine.operator.data.dtype.name, time.perf_counter() - t0,
                    sum(array.nbytes for array in kept))
     _engine_slot = (key, engine)
     return engine, False
@@ -553,13 +546,13 @@ def _endpoint_tables(n_max: int, l_max: int) -> np.ndarray:
 def _cleared_f_derivatives(eng: CollocationEngine, amplitude: AmplitudeSpec,
                            f_values: np.ndarray) -> np.ndarray:
     """d^l [r f_i] at the endpoints, one per tail row in (order l >= 1,
-    component i, end) order, by Leibniz on exact r derivatives; real when
-    they all are."""
+    component i, end) order, by Leibniz on exact r derivatives, in the
+    common field of those derivatives and the amplitude's."""
     f_ders = [
         [f_values[:, 0]] + [amplitude.derivative(q, +1) for q in range(1, eng.s + 1)],
         [f_values[:, -1]] + [amplitude.derivative(q, -1) for q in range(1, eng.s + 1)],
     ]
-    return real_if_zero_imag([
+    return np.array([
         sum(math.comb(l, p) * eng.r_derivs[e][p] * f_ders[e][l - p][i] for p in range(l + 1))
         for l in range(1, eng.s + 1) for i in range(eng.m) for e in (0, 1)
     ])
@@ -593,7 +586,6 @@ def _solve_fast(problem: LevinProblem) -> QuadratureResult:
 
     f_values = problem.amplitude.values(grid.points)
     _check_finite_samples(f_values, grid.points)
-    f_values = real_if_zero_imag(f_values)
     # sin2 is zero at the endpoints, so the scaled right-hand side is too
     rhs_scaled = eng.sin2_r * f_values
     targets = (eng.r_end * f_values[:, [0, -1]]).reshape(-1)

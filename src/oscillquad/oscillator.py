@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .chebyshev import Polynomial, RationalFunction, horner
+from .chebyshev import Polynomial, RationalFunction
 
 
 class StationaryPointError(ValueError):
@@ -103,10 +103,16 @@ class AmplitudeSpec:
         return min(self.deriv_plus.shape[0], self.deriv_minus.shape[0])
 
     def values(self, x) -> np.ndarray:
+        """Samples of every component at ``x``, one row each, written into one
+        buffer in the components' common field: float64 unless one of them
+        returns complex values."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty((len(self.components),) + x.shape, dtype=np.complex128)
+        out = np.empty((len(self.components),) + x.shape)
         for i, f in enumerate(self.components):
-            out[i] = f(x)
+            v = f(x)
+            if np.iscomplexobj(v) and not np.iscomplexobj(out):  # rows 0..i-1 were real
+                out = out.astype(np.complex128) if i else np.empty(out.shape, np.complex128)
+            out[i] = v
         return out
 
     def derivative(self, l: int, sign: int) -> np.ndarray:
@@ -138,13 +144,8 @@ _ROOT_GRIDS = {n: np.linspace(-1.0, 1.0, n) for n in (1000, 1001)}
 
 
 def _has_interval_root(p: Polynomial, n_grid: int) -> bool:
-    """Grid check for a root of p in [-1, 1]: sign change (real case) or near-zero.
-
-    Real coefficients are evaluated in float64: the values and their
-    magnitudes are those of the complex evaluation, whose imaginary parts
-    are then zero."""
-    c = p.coeffs
-    v = horner(c if c.imag.any() else c.real, _ROOT_GRIDS[n_grid])
+    """Grid check for a root of p in [-1, 1]: sign change (real case) or near-zero."""
+    v = p(_ROOT_GRIDS[n_grid])
     mags = np.abs(v)
     scale = max(float(mags.max()), 1e-300)
     if float(mags.min()) < 1e-9 * scale:
@@ -321,7 +322,7 @@ def weight_values(sys: OscillatorSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if cfg.get("type") == "exponential":
         g = _poly_from_json(cfg["g"])
-        return np.exp(1j * sys.omega * g(x).real)[None, :]
+        return np.exp(1j * sys.omega * g(x))[None, :]
     if cfg.get("type") == "bessel":
         z = sys.omega * (x + cfg["a"])
         return np.stack([scipy.special.jv(cfg["gamma"], z),

@@ -197,7 +197,7 @@ def cc_oracle(integrand, n_points: int | None = None) -> complex:
     if vals.shape != x.shape:
         raise ValueError("integrand must return one value per node")
     # Summed in complex arithmetic for real integrands too.
-    coeffs = apply_inverse_collocation(vals).astype(np.complex128, copy=False)
+    coeffs = apply_inverse_collocation(vals)
     k = np.arange(0, n_points + 1, 2)
     moments = 2.0 / (1.0 - k.astype(np.float64) ** 2)
     return complex(np.dot(coeffs[::2], moments))

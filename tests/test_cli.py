@@ -102,6 +102,22 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["quad", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"type": "exponential", "g": 5, "omega": 100.0, "nu": 64},
+    {"type": "bessel", "gamma": 1, "a": [2], "omega": 100.0, "nu": 64},
+    {"type": "custom", "r": [1.0], "rG": 5, "w_plus": [[1.0, 0.0]], "w_minus": [[1.0, 0.0]],
+     "omega": 100.0, "nu": 64},
+    {"type": "exponential", "g": [0.0, 1.0], "omega": 100.0, "nu": 64, "amplitude": 5},
+], ids=["list", "g-number", "a-list", "rG-number", "amplitude-number"])
+def test_a_config_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, config):
+    # each once ended in a traceback and exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["quad", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("oscillquad: config error: ")
+
+
 def test_an_output_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
     # once a FileNotFoundError traceback and exit 1, after all the work
     cfg = write_config(tmp_path)

@@ -42,7 +42,6 @@ from oscillquad.chebyshev import (
     clenshaw_curtis_points,
     endpoint_derivative_rows,
     fold_operator,
-    real_if_zero_imag,
 )
 from oscillquad.levin import (
     CollocationEngine,
@@ -458,6 +457,33 @@ def test_complex_amplitude_on_a_real_system(s):
     assert abs(got.value - c * want.value) <= 2e-13 * abs(c) * 3.54
 
 
+@pytest.mark.parametrize("name", ["one", "cos", "rational_runge", "manufactured:0",
+                                  "manufactured:7"])
+def test_registry_amplitudes_are_made_in_their_own_field(name):
+    # real on a real (Bessel) system, samples and tables; on an exponential
+    # phase only the manufactured amplitudes, built from r G, are complex
+    x = clenshaw_curtis_points(64).points
+    for sys, field in ((make_bessel(1, 2.0, 100.0), np.float64),
+                       (make_exponential([0.0, 1.0], 100.0),
+                        np.complex128 if name.startswith("manufactured") else np.float64)):
+        amp = make_amplitude(name, sys)
+        assert amp.values(x).dtype == field
+        assert amp.deriv_plus.dtype == amp.deriv_minus.dtype == field
+
+
+@pytest.mark.parametrize("j,c", [(0, 0.5), (1, 0.02), (2, 0.07), (3, 1.0)])
+def test_rational_samples_are_the_float64_quotient(j, c):
+    # a real quotient, correctly rounded; the complex one was 1 ulp off at
+    # 62 of these 258 points for x / (x^2 + 0.02)
+    num, den = Polynomial(np.eye(j + 1)[j]), Polynomial([c, 0.0, 1.0])
+    x = clenshaw_curtis_points(256).points
+    got = rational_amplitude(num, den, 2).values(x)
+    poly = np.polynomial.polynomial
+    want = poly.polyval(x, num.coeffs) / poly.polyval(x, den.coeffs)
+    assert got.dtype == np.float64 and got[0].tobytes() == want.tobytes()
+    assert not got[1].any()
+
+
 def test_engine_null_vectors_are_annihilated_on_the_interior():
     sys = make_bessel(1, 2.0, 60.0)
     nu = 20
@@ -488,7 +514,7 @@ def test_a_zero_component_gets_the_coefficients_of_its_transform(m, field, rhs_f
     # through the rest of the solve (the reference below)
     nu = 32
     eng = CollocationEngine(block_diagonal_system(m, field), nu, s)
-    assert eng.dtype == (np.complex128 if field == "complex" else np.float64)
+    assert eng.operator.data.dtype == (np.complex128 if field == "complex" else np.float64)
     rng = np.random.default_rng(10 * m + s)
     for zero in range(m):
         rhs = rng.normal(size=(m, nu + 2)) + (1j * rng.normal(size=(m, nu + 2))
@@ -813,8 +839,8 @@ def test_exact_residual_is_the_value_space_check(m, s):
     sys = make_exponential([0.0, 1.0], 100.0) if m == 1 else make_bessel(1, 2.0, 100.0)
     amp = runge_amplitude(m)
     _, (eng, coeffs, *args, _) = _residual_call(LevinProblem(system=sys, amplitude=amp, nu=32, s=s))
-    nu, grid, r_vals = eng.nu, eng.grid, eng.r_vals
-    f_values = real_if_zero_imag(amp.values(grid.points))
+    nu, grid = eng.nu, eng.grid
+    r_vals, f_values = sys.r(grid.points), amp.values(grid.points)
     # the band's rows and the tail columns' hold the equations in eng.order
     acc = ((eng.operator_dia @ coeffs[:, : nu + 2].T.reshape(-1)).reshape(nu + 2, m).T
            + (coeffs[:, nu + 2 :].reshape(-1)
@@ -1412,6 +1438,23 @@ def test_any_change_to_the_bessel_system_misses(changed, monkeypatch):
     builds = count_engine_builds(monkeypatch)
     assert not levin._engine_for(changed(), 32, 0)[1]
     assert len(builds) == 1
+
+
+def test_real_and_complex_coefficients_with_the_same_bytes_build_two_engines(monkeypatch):
+    # r = 2 + 0.5x, rG = 40 + 10x (float64) and r = 2 + 0.5i, rG = 40 + 10i
+    # (complex128) store the same coefficient bytes; the key's dtypes part them
+    ones = np.ones(1, dtype=np.complex128)
+    real, cplx = (OscillatorSystem(omega=20.0, r=Polynomial(r), r_g=((Polynomial(rg),),),
+                                   w_plus=ones, w_minus=ones)
+                  for r, rg in (([2.0, 0.5], [40.0, 10.0]), ([2.0 + 0.5j], [40.0 + 10.0j])))
+    assert real.r.coeffs.tobytes() == cplx.r.coeffs.tobytes()
+    assert real.r_g[0][0].coeffs.tobytes() == cplx.r_g[0][0].coeffs.tobytes()
+    levin._forget_engine()
+    builds = count_engine_builds(monkeypatch)
+    assert not levin._engine_for(real, 32, 0)[1]
+    engine, reused = levin._engine_for(cplx, 32, 0)
+    assert not reused and len(builds) == 2 and engine.system is cplx
+    assert engine.operator.data.dtype == np.complex128
 
 
 def test_engine_miss_drops_the_old_engine_before_building(monkeypatch):
