@@ -12,6 +12,12 @@ with period 2(nu+1): k < 0 goes to -k (T_{-k} = T_k, the Hankel part of
 the multiplication operator) and nu+1+l goes to nu+1-l (T_{nu+1+l} =
 T_{nu+1-l} at the grid points, the fold that closes the system).
 
+Every DCT-I goes through one routine, ``dct1``, at FFT cost for every nu.
+pocketfft's own DCT-I is an FFT of length 2(nu+1), fast when nu + 1 has
+only small prime factors; where it has one above ``CHIRP_MIN_PRIME``,
+pocketfft would run a generic pass over it, and Bluestein's chirp-z
+convolution (1970) gives the same transform through FFTs of a fast length.
+
 Everything here is pure: no global state, all returned objects are meant
 to be treated as immutable.  A ``Polynomial`` chooses its field once, and
 stencils, bands, endpoint derivatives and transforms compute in the field
@@ -32,6 +38,11 @@ import scipy.sparse
 
 class UnsupportedRegimeError(ValueError):
     """Raised when a folded banded system would be invalid (nu too small)."""
+
+
+#: Entries each plan cache keeps.  Calls over five nu and three system
+#: families meet at most 15 keys of any one plan cache, so all stay warm.
+PLAN_CACHE_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +259,89 @@ def endpoint_derivative_rows(n_max: int, l_max: int, sign: int) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# DCT-I
+# ---------------------------------------------------------------------------
+
+#: A DCT-I of n points takes the chirp route when n - 1 has a prime factor
+#: above this, and pocketfft's own DCT-I otherwise.  In BENCH_transform.json
+#: (perf/transform_route.py; 2 vCPU, one BLAS thread) the chirp ran 1.58x to
+#: 2.93x faster at every largest factor above 400 from nu 1008 to 16346, and
+#: about even at nu 400 (0.89x and 1.14x in two runs).  Below the bound it
+#: lost at nu 16384 (factor 113, 0.50x) and 32768 (factor 331, 0.62x); it
+#: won at factors 241 to 397 near nu 1000 (1.08x to 1.63x) and at nu 256
+#: (factor 257, 1.4x), which one fixed bound leaves on pocketfft.
+CHIRP_MIN_PRIME = 400
+
+
+def largest_prime_factor(m: int) -> int:
+    """The largest prime factor of ``m`` >= 2, by trial division."""
+    largest, d = 1, 2
+    while d * d <= m:
+        while m % d == 0:
+            largest, m = d, m // d
+        d += 1 if d == 2 else 2
+    return max(largest, m)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _takes_chirp(n: int) -> bool:
+    """Whether the DCT-I of ``n`` points takes the chirp route."""
+    return largest_prime_factor(n - 1) > CHIRP_MIN_PRIME
+
+
+@functools.lru_cache(maxsize=2)
+def _chirp_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp a_j = exp(-i pi j^2 / (2N)), j = 0..n-1 with N = n - 1, and
+    the FFT of twice its conjugate laid out for a circular convolution of
+    length next_fast_len(2n - 1), both read-only.  j^2 is reduced mod 4N in
+    int64, where it is exact, so every phase is below 2 pi."""
+    big_n = n - 1
+    j = np.arange(n, dtype=np.int64)
+    a = np.exp(-1j * (np.pi / (2 * big_n)) * ((j * j) % (4 * big_n)))
+    kernel = np.zeros(scipy.fft.next_fast_len(2 * n - 1), dtype=np.complex128)
+    kernel[:n] = 2 * a.conj()
+    kernel[kernel.size - n + 1 :] = kernel[n - 1 : 0 : -1]
+    return _read_only(a, scipy.fft.fft(kernel))
+
+
+def dct1(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.dct(x, type=1)`` along the last axis, y_k = x_0 +
+    (-1)^k x_N + 2 sum_{j=1}^{N-1} x_j cos(pi j k / N), N = n - 1.
+
+    When N has a prime factor above ``CHIRP_MIN_PRIME``, pocketfft runs a
+    slow generic pass, and the transform takes Bluestein's chirp-z route
+    instead: as jk = (j^2 + k^2 - (k - j)^2) / 2, y_k is the real part of
+    a_k times the convolution of w x a with conj(a), w = (1, 2, ..., 2, 1),
+    taken by one FFT of a fast length, a product with the kernel's FFT and
+    one inverse FFT.  Complex input goes as its real and imaginary parts,
+    stacked with the other rows as real rows through one FFT call, so a
+    real input gives, bit for bit, the real part of the transform of its
+    complex copy."""
+    return _chirp_dct1(x) if _takes_chirp(x.shape[-1]) else scipy.fft.dct(x, type=1)
+
+
+def _chirp_dct1(x: np.ndarray) -> np.ndarray:
+    """:func:`dct1` by the chirp route, at any size."""
+    n = x.shape[-1]
+    a, kernel = _chirp_plan(n)
+    rows = x.reshape(-1, n)
+    if x.dtype.kind == "c":
+        rows = np.concatenate((rows.real, rows.imag))
+    u = rows * a
+    u[:, 0] *= 0.5  # w / 2; the kernel holds the 2
+    u[:, -1] *= 0.5
+    conv = scipy.fft.ifft(scipy.fft.fft(u, n=kernel.size, overwrite_x=True) * kernel,
+                          overwrite_x=True)
+    y = (conv[:, :n] * a).real
+    if x.dtype.kind != "c":
+        return y.reshape(x.shape)
+    out = np.empty(x.shape, dtype=np.result_type(y, 1j))
+    out.real = y[: len(y) // 2].reshape(x.shape)
+    out.imag = y[len(y) // 2 :].reshape(x.shape)
+    return out
+
+
 def apply_collocation_matrix(alpha) -> np.ndarray:
     """Values at the grid of the Chebyshev series with coefficients ``alpha``.
 
@@ -262,7 +356,7 @@ def apply_collocation_matrix(alpha) -> np.ndarray:
     xt = alpha.astype(np.result_type(alpha, np.float64))
     xt[0] *= 2.0
     xt[-1] *= 2.0
-    return 0.5 * scipy.fft.dct(xt, type=1)
+    return 0.5 * dct1(xt)
 
 
 def apply_inverse_collocation(values) -> np.ndarray:
@@ -278,7 +372,7 @@ def apply_inverse_collocation(values) -> np.ndarray:
     n = v.shape[0]
     if n < 3:
         raise ValueError("DCT-I needs at least 3 samples")
-    z = 0.5 * scipy.fft.dct(v, type=1) * (2.0 / (n - 1))
+    z = 0.5 * dct1(v) * (2.0 / (n - 1))
     z[0] *= 0.5
     z[-1] *= 0.5
     return z
@@ -356,11 +450,6 @@ class BandedMatrix:
 
 # Shape-only index plans.  Each depends on sizes alone, never on a band's
 # values; its arrays are read-only, and none grows with nu.
-
-#: Entries each plan cache keeps.  Calls over five nu and three system
-#: families meet at most 15 keys of any one plan cache, so all stay warm.
-PLAN_CACHE_SIZE = 32
-
 
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     """``arrays``, each flagged read-only."""

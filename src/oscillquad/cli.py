@@ -115,6 +115,13 @@ def _omega_grid(config: dict) -> np.ndarray:
     return grid
 
 
+def _config_int(config: dict, key: str, default: int) -> int:
+    try:
+        return int(config.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {config[key]!r}") from None
+
+
 def _nu_grid(config: dict) -> list[int]:
     grid = config.get("nu_grid")
     if not grid:
@@ -191,7 +198,7 @@ def _cold_wall_time(problem: LevinProblem) -> float:
 
 def cmd_bench(config: dict, args) -> list[list[str]]:
     grid = _nu_grid(config)
-    dense_cap = int(config.get("dense_max_nu", DEFAULT_DENSE_MAX_NU))
+    dense_cap = _config_int(config, "dense_max_nu", DEFAULT_DENSE_MAX_NU)
     rows = []
     for nu in grid:  # timing runs stay sequential to avoid contention skew
         problem = _build_problem(config, nu=nu)
@@ -205,7 +212,7 @@ def cmd_bench(config: dict, args) -> list[list[str]]:
 
 def cmd_condition(config: dict, args) -> list[list[str]]:
     grid = _nu_grid(config)
-    full_cap = int(config.get("cond_max_nu", DEFAULT_COND_MAX_NU))
+    full_cap = _config_int(config, "cond_max_nu", DEFAULT_COND_MAX_NU)
     rows = []
     for nu in grid:
         problem = _build_problem(config, nu=nu)
@@ -231,7 +238,11 @@ def cmd_plotdata(config: dict, args) -> list[list[str]]:
     """
     figure = config.get("figure")
     inputs = config.get("inputs") or []
+    if not isinstance(inputs, list) or not all(isinstance(path, str) for path in inputs):
+        raise ConfigError(f"plotdata inputs must be a list of paths, got {inputs!r}")
     labels = config.get("labels") or [f"series{i}" for i in range(len(inputs))]
+    if not isinstance(labels, list):
+        raise ConfigError(f"plotdata labels must be a list, got {labels!r}")
     if not figure or not inputs or len(labels) != len(inputs):
         raise ConfigError("plotdata needs figure, inputs, and matching labels")
     tables = []

@@ -459,10 +459,12 @@ def _dct_rounding_bound(z: np.ndarray) -> np.ndarray:
     Chebyshev coefficients of grid values v by one DCT-I, with C z taken by
     a second: 8 log2(n) u sqrt(n) ||z||_2, n = 2(nu+1) the FFT length, u
     the unit roundoff (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 24).  Measured round trips stay under a
-    twentieth of it for nu from 2 to 32768.  The norm is BLAS nrm2, called
-    as ``scipy.linalg.norm`` calls it for a vector; it scales as it sums, so
-    that no square underflows (a tiny amplitude) or overflows."""
+    Algorithms, 2nd ed., ch. 24).  Measured round trips of random values
+    reach a tenth of it at nu 2 and stay under a thirtieth from nu 14 up on
+    pocketfft's route, and under 0.008 of it on the chirp route (nu 400 to
+    24576).  The norm is BLAS nrm2, called as ``scipy.linalg.norm`` calls it
+    for a vector; it scales as it sums, so that no square underflows (a tiny
+    amplitude) or overflows."""
     n = 2 * (z.shape[-1] - 1)
     u = np.finfo(np.float64).eps / 2
     nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=z.dtype, ilp64="preferred")

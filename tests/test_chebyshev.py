@@ -19,13 +19,17 @@ from oscillquad.chebyshev import (
     RationalFunction,
     UnsupportedRegimeError,
     _chebyshev_stencil,
+    _chirp_dct1,
+    _takes_chirp,
     apply_collocation_matrix,
     apply_inverse_collocation,
     build_banded_operator,
     clenshaw_curtis_points,
+    dct1,
     endpoint_derivative_rows,
     fold_chebyshev_tail,
     fold_operator,
+    largest_prime_factor,
     polynomial_endpoint_derivatives,
 )
 
@@ -37,16 +41,15 @@ from conftest import band_from_dense, band_to_dense
 # ---------------------------------------------------------------------------
 
 def naive_collocation(alpha):
-    """C @ alpha, C[m, k] = cos(m k pi/(n-1)), by the literal double loop (O(n^2))."""
+    """C @ alpha, C[m, k] = cos(m k pi/(n-1)), by the literal sum over k, one
+    row m at a time (O(n^2)), with m k reduced mod 2(n-1) in exact integers."""
     alpha = np.asarray(alpha)
     n = alpha.shape[0]
     big_n = n - 1
+    k = np.arange(n)
     out = np.zeros(n, dtype=np.complex128)
     for m in range(n):
-        acc = 0j
-        for k in range(n):
-            acc = acc + math.cos(m * k * math.pi / big_n) * alpha[k]
-        out[m] = acc
+        out[m] = np.cos(((m * k) % (2 * big_n)) * (math.pi / big_n)) @ alpha
     return out
 
 
@@ -312,7 +315,13 @@ def test_dct1_nu2_halved_first_coordinate():
     assert np.allclose(apply_inverse_collocation(np.ones(4)), [1.0, 0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("n", [4, 7, 18, 129, 514])
+#: nu whose nu + 1 has a prime factor above 400, so that the DCT-I of nu + 2
+#: points takes the chirp route: 1347 = 3 x 449, 2049 = 3 x 683, 8191 is
+#: prime and 8193 = 3 x 2731.
+CHIRP_NU = [1346, 2048, 8190, 8192]
+
+
+@pytest.mark.parametrize("n", [4, 7, 18, 129, 514] + [nu + 2 for nu in CHIRP_NU])
 def test_dct1_fast_equals_naive(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -320,7 +329,7 @@ def test_dct1_fast_equals_naive(n):
     assert np.max(np.abs(fast - naive_collocation(x))) <= 1e-12 * np.max(np.abs(fast) + 1)
 
 
-@pytest.mark.parametrize("nu", [2, 16, 256, 4096])
+@pytest.mark.parametrize("nu", [2, 16, 256, 4096] + CHIRP_NU)
 def test_dct1_roundtrip(nu):
     rng = np.random.default_rng(nu)
     x = rng.normal(size=nu + 2) + 1j * rng.normal(size=nu + 2)
@@ -363,13 +372,14 @@ def test_inverse_collocation_roundtrip_and_interpolation():
     assert np.allclose(chebval(grid.points, coeffs), vals, atol=1e-12)
 
 
-@pytest.mark.parametrize("nu", [2, 7, 64, 1000, 32768])
+@pytest.mark.parametrize("nu", [2, 7, 64, 1000, 32768] + CHIRP_NU)
 def test_inverse_collocation_of_real_values_equals_the_complex_transform(nu):
     # the transform runs in the field of its input, at least in double
-    # precision: real input gives float64, bit for bit the real part of the
-    # complex128 transform of the same values; complex input, a zero
-    # imaginary part included, gives that transform
-    def complex_transform(values):
+    # precision, on both routes: real input gives float64, bit for bit the
+    # real part of the complex128 transform of the same values; complex
+    # input, a zero imaginary part included, gives that transform, which on
+    # pocketfft's route is scipy's DCT-I bit for bit
+    def scipy_transform(values):
         v = np.asarray(values, dtype=np.complex128)
         z = 0.5 * scipy.fft.dct(v, type=1) * (2.0 / (v.shape[0] - 1))
         z[0] *= 0.5
@@ -382,11 +392,45 @@ def test_inverse_collocation_of_real_values_equals_the_complex_transform(nu):
     for values in (re, -re.astype(np.float32), np.arange(nu + 2)):
         got = apply_inverse_collocation(values)
         assert got.dtype == np.float64
-        assert got.tobytes() == np.ascontiguousarray(complex_transform(values).real).tobytes()
+        complex_transform = apply_inverse_collocation(np.asarray(values, dtype=np.complex128))
+        assert got.tobytes() == np.ascontiguousarray(complex_transform.real).tobytes()
     for values in (re + 0j, re + 1j * im):
         got = apply_inverse_collocation(values)
         assert got.dtype == np.complex128
-        assert got.tobytes() == complex_transform(values).tobytes()
+        if not _takes_chirp(nu + 2):
+            assert got.tobytes() == scipy_transform(values).tobytes()
+
+
+@pytest.mark.parametrize("nu,largest_prime,chirp", [
+    (32, 11, False), (256, 257, False), (512, 19, False), (2048, 683, True),
+    (8192, 2731, True), (16384, 113, False), (32768, 331, False)])
+def test_the_dct1_route_follows_the_largest_prime_factor_of_nu_plus_1(nu, largest_prime, chirp):
+    # the chirp route where pocketfft would run a generic pass over a prime
+    # factor above CHIRP_MIN_PRIME, pocketfft's own DCT-I elsewhere
+    assert largest_prime_factor(nu + 1) == largest_prime
+    assert _takes_chirp(nu + 2) is chirp
+
+
+#: Bound on max|dct1(x) - scipy.fft.dct(x, type=1)| per unit of max|scipy's|,
+#: per factor of two in n: two FFT routes each within a few units of
+#: roundoff times log2 n of the output's scale.
+DCT1_ROUTE_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("nu", [32, 256, 512, 2048, 8192, 16384, 32768])
+@pytest.mark.parametrize("kind", ["real", "complex", "two rows"])
+def test_both_dct1_routes_agree_with_scipy(nu, kind):
+    rng = np.random.default_rng([nu, len(kind)])
+    shape = (2, nu + 2) if kind == "two rows" else (nu + 2,)
+    x = rng.standard_normal(shape)
+    if kind != "real":
+        x = x + 1j * rng.standard_normal(shape)
+    want = scipy.fft.dct(x, type=1)
+    tol = DCT1_ROUTE_RTOL * math.log2(nu + 2) * np.abs(want).max()
+    for transform in (dct1, _chirp_dct1):
+        got = transform(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= tol, transform.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,31 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["quad", "--config", str(missing)]) == 2
 
 
-@pytest.mark.parametrize("config", [
-    [1, 2],
-    {"type": "exponential", "g": 5, "omega": 100.0, "nu": 64},
-    {"type": "bessel", "gamma": 1, "a": [2], "omega": 100.0, "nu": 64},
-    {"type": "custom", "r": [1.0], "rG": 5, "w_plus": [[1.0, 0.0]], "w_minus": [[1.0, 0.0]],
-     "omega": 100.0, "nu": 64},
-    {"type": "exponential", "g": [0.0, 1.0], "omega": 100.0, "nu": 64, "amplitude": 5},
-], ids=["list", "g-number", "a-list", "rG-number", "amplitude-number"])
-def test_a_config_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, config):
+GRID_CONFIG = {"type": "exponential", "g": [0.0, 1.0], "omega": 100.0, "nu_grid": [8]}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("quad", [1, 2]),
+    ("quad", {"type": "exponential", "g": 5, "omega": 100.0, "nu": 64}),
+    ("quad", {"type": "bessel", "gamma": 1, "a": [2], "omega": 100.0, "nu": 64}),
+    ("quad", {"type": "custom", "r": [1.0], "rG": 5, "w_plus": [[1.0, 0.0]],
+              "w_minus": [[1.0, 0.0]], "omega": 100.0, "nu": 64}),
+    ("quad", {"type": "exponential", "g": [0.0, 1.0], "omega": 100.0, "nu": 64,
+              "amplitude": 5}),
+    ("bench", {**GRID_CONFIG, "dense_max_nu": [1]}),
+    ("condition", {**GRID_CONFIG, "cond_max_nu": {"nu": 1}}),
+    ("plotdata", {"figure": "timing", "inputs": 5}),
+    ("plotdata", {"figure": "timing", "inputs": [5]}),
+    ("plotdata", {"figure": "timing", "inputs": ["a.csv"], "labels": 5}),
+], ids=["list", "g-number", "a-list", "rG-number", "amplitude-number",
+        "bench-dense_max_nu-list", "condition-cond_max_nu-object", "plotdata-inputs-number",
+        "plotdata-input-number", "plotdata-labels-number"])
+def test_a_config_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, command,
+                                                                 config):
     # each once ended in a traceback and exit 1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert main(["quad", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("oscillquad: config error: ")
 
 

@@ -964,7 +964,7 @@ def test_dct_rounding_bound_covers_the_round_trip(kind):
     # at scale 1e-250 the squares of the coefficients underflow, which must
     # not take the bound to zero
     rng = np.random.default_rng(5)
-    for nu in [2, 4, 6, 14, 62, 510, 2046, 8190, 8192, 32768]:
+    for nu in [2, 4, 6, 14, 62, 510, 1346, 2046, 2048, 8190, 8192, 32768]:
         for scale in [1.0, 1e-250, 1e-250, 1.0]:
             v = rng.standard_normal(nu + 2)
             if kind == "complex":
